@@ -12,7 +12,6 @@ from .crossbar import (
     mvm_exact,
     mvm_simulate,
     mvm_simulate_batch,
-    reconstruct,
 )
 from .faults import (
     FAULT_FREE,
@@ -46,7 +45,6 @@ from .numfmt import (
     MODE_TWOS_COMPLEMENT,
     MODE_UNSIGNED,
     CodeWord,
-    DecodedValue,
     OutOfRangeError,
     bit_slice,
     clamp_to_range,

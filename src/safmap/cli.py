@@ -55,10 +55,10 @@ def parse_rates(text: str) -> list[float]:
 
 
 def _load_weights(path: str, bits: int, mode: str) -> LayerWeights:
-    obj = json.loads(Path(path).read_text())
-    values = np.asarray(obj["values"], dtype=np.int64).reshape(
-        obj["rows"], obj["cols"]
+    rows, cols, values = numfmt.json_fields(
+        json.loads(Path(path).read_text()), "weights", "rows", "cols", "values"
     )
+    values = np.asarray(values, dtype=np.int64).reshape(rows, cols)
     return LayerWeights.from_values(values, bits, mode)
 
 
@@ -164,11 +164,7 @@ def cmd_eval(args) -> int:
         act_bits=args.act_bits,
         jobs=args.jobs,
     )
-    try:
-        report = harness.run_sweep(model, spec, dataset_seed=args.dataset_seed)
-    except Exception as exc:
-        print(f"eval failed: {exc}", file=sys.stderr)
-        return 1
+    report = harness.run_sweep(model, spec, dataset_seed=args.dataset_seed)
     report.config["tool"] = f"safmap {__version__}"
     json_path = Path(args.out)
     csv_path = json_path.with_suffix(".csv")
@@ -277,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--bits", type=_width, required=True)
     b.add_argument("--mode", choices=(MODE_UNSIGNED, MODE_TWOS_COMPLEMENT),
                    default=MODE_TWOS_COMPLEMENT)
-    b.add_argument("--jobs", type=int, default=None,
-                   help="worker cap (the build is a single vectorized pass)")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_lut_build)
     v = lut_sub.add_parser("verify")
@@ -296,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=(MODE_UNSIGNED, MODE_TWOS_COMPLEMENT),
                    default=MODE_TWOS_COMPLEMENT)
     p.add_argument("--lut", default=None,
-                   help="table file to use (built and cached there if absent)")
+                   help="table file to use (built and cached there if absent; "
+                        "a table of another width or mode is refused)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_map)
 
@@ -344,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, lut_mod.LutMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

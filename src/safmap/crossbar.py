@@ -28,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import numfmt
-from .mapping import MappedLayout, SCHEME_BITFLIP, SCHEME_SIGNFLIP
-from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED
+from .mapping import MappedLayout
+from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, json_fields
 
 
 class DimensionMismatchError(ValueError):
@@ -82,11 +82,8 @@ class ActivationVector:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ActivationVector":
-        return cls(
-            values=np.asarray(obj["values"], dtype=np.int64),
-            bits=obj["m"],
-            mode=obj["mode"],
-        )
+        values, bits, mode = json_fields(obj, "activations", "values", "m", "mode")
+        return cls(values=np.asarray(values, dtype=np.int64), bits=bits, mode=mode)
 
     @classmethod
     def load(cls, path: str | Path) -> "ActivationVector":
@@ -111,39 +108,6 @@ def _term_signs(bits: int, mode: str) -> np.ndarray:
     if mode == MODE_TWOS_COMPLEMENT:
         signs[bits - 1] = -1
     return signs
-
-
-def reconstruct(
-    partials: np.ndarray,
-    cfg: CrossbarConfig,
-    flipped_slices: np.ndarray | None = None,
-    activation_bit_sums: np.ndarray | None = None,
-) -> int:
-    """Shift-and-add one (chunk, column) group of raw partial sums.
-
-    ``partials[k, l]`` counts active pairs of weight slice k and activation
-    stream l.  If ``flipped_slices[k]`` is set, the slice's partials are
-    first corrected to ``activation_bit_sums[l] - partials[k, l]``.
-    """
-    partials = np.asarray(partials, dtype=np.int64)
-    n, m = cfg.weight_bits, cfg.activation_bits
-    if partials.shape != (n, m):
-        raise DimensionMismatchError(
-            f"expected partials of shape {(n, m)}, got {partials.shape}"
-        )
-    if flipped_slices is not None and np.any(flipped_slices):
-        if activation_bit_sums is None:
-            raise ValueError("bit-flip correction requires activation bit sums")
-        corrected = np.where(
-            np.asarray(flipped_slices, dtype=bool)[:, None],
-            np.asarray(activation_bit_sums, dtype=np.int64)[None, :] - partials,
-            partials,
-        )
-    else:
-        corrected = partials
-    wk = _term_signs(n, cfg.weight_mode) * (1 << np.arange(n, dtype=np.int64))
-    al = _term_signs(m, cfg.activation_mode) * (1 << np.arange(m, dtype=np.int64))
-    return int((corrected * wk[:, None] * al[None, :]).sum())
 
 
 def _bit_planes(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -189,9 +153,8 @@ def mvm_simulate_batch(
                         flips[k][None, :], sum_i[:, None] - partial, partial
                     )
                 chunk_out += (wk[k] * al[l]) * partial
-        if layout.scheme == SCHEME_SIGNFLIP:
-            negate = layout.col_flip[c].astype(bool)
-            chunk_out[:, negate] = -chunk_out[:, negate]
+        negate = layout.col_flip[c].astype(bool)
+        chunk_out[:, negate] = -chunk_out[:, negate]
         total += chunk_out
     return total
 

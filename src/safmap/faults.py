@@ -13,12 +13,12 @@ evaluation harness), so masks are reproducible for a fixed numpy build.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .numfmt import check_width
+from .numfmt import check_width, json_fields
 
 SA0 = -1
 FAULT_FREE = 0
@@ -93,8 +93,8 @@ class SafMask:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SafMask":
-        shape = (obj["rows"], obj["cols"], obj["bits"])
-        data = np.asarray(obj["data"], dtype=np.int8)
+        *shape, data = json_fields(obj, "fault mask", "rows", "cols", "bits", "data")
+        data = np.asarray(data, dtype=np.int8)
         if data.size != shape[0] * shape[1] * shape[2]:
             raise ValueError("mask data length does not match rows*cols*bits")
         return cls(cells=data.reshape(shape))
@@ -163,6 +163,12 @@ def force_write_array(codes: np.ndarray, sa0: np.ndarray, sa1: np.ndarray) -> np
     """Vectorized :func:`force_write` on packed (sa0, sa1) masks."""
     codes = np.asarray(codes, dtype=np.uint16)
     return (codes | sa1) & ~sa0
+
+
+def fault_key(sa0: np.ndarray, sa1: np.ndarray, bits: int) -> np.ndarray:
+    """The one packed fault key ``sa1 << bits | sa0`` that the closest-value
+    engines index their tables with."""
+    return (np.asarray(sa1, dtype=np.uint32) << bits) | np.asarray(sa0, dtype=np.uint32)
 
 
 def transform_mask_for_flip(cell: np.ndarray, j: int) -> np.ndarray:

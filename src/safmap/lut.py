@@ -18,12 +18,13 @@ in key order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .faults import FAULT_FREE, SA0, SA1
+from .faults import FAULT_FREE, SA0, SA1, fault_key
 from .mapping import cvm_codes
 from .numfmt import (
     MODE_TWOS_COMPLEMENT,
@@ -52,6 +53,10 @@ class LutFormatError(ValueError):
     """Malformed or truncated table file."""
 
 
+class LutMismatchError(ValueError):
+    """Cached table file built for another width or mode."""
+
+
 def _check_width(bits: int) -> None:
     try:
         check_width(bits)
@@ -59,27 +64,43 @@ def _check_width(bits: int) -> None:
         raise UnsupportedWidthError(str(exc)) from exc
 
 
+@functools.cache
+def _key_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(base-3 digits of every packed fault key, packed key of every digit
+    value).  Keys stuck at both values in one bit have no digit value."""
+    keys = np.arange(1 << (2 * bits), dtype=np.uint32)
+    sa0, sa1 = keys & ((1 << bits) - 1), keys >> bits
+    digits = np.zeros(keys.size, dtype=np.uint32)
+    for k in range(bits):
+        digits += (3**k) * (DIGIT_SA0 * ((sa0 >> k) & 1) + DIGIT_SA1 * ((sa1 >> k) & 1))
+    single = (sa0 & sa1) == 0
+    packed = np.empty(3**bits, dtype=np.uint32)
+    packed[digits[single]] = keys[single]
+    digits.flags.writeable = packed.flags.writeable = False  # shared by every caller
+    return digits, packed
+
+
 def fault_digits_from_packed(
     sa0: np.ndarray, sa1: np.ndarray, bits: int
 ) -> np.ndarray:
     """Base-3 key digits from packed (sa0, sa1) bit masks."""
-    sa0 = np.asarray(sa0, dtype=np.uint32)
-    sa1 = np.asarray(sa1, dtype=np.uint32)
-    digits = np.zeros(sa0.shape, dtype=np.uint32)
-    for k in range(bits):
-        bit0 = (sa0 >> k) & 1
-        bit1 = (sa1 >> k) & 1
-        digits += (3**k) * (DIGIT_SA0 * bit0 + DIGIT_SA1 * bit1)
-    return digits
+    return _key_tables(bits)[0][fault_key(sa0, sa1, bits)]
+
+
+def packed_from_fault_digits(
+    digits: np.ndarray, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed (sa0, sa1) bit masks from base-3 key digits."""
+    key = _key_tables(bits)[1][np.asarray(digits, dtype=np.int64)]
+    return (key & ((1 << bits) - 1)).astype(np.uint16), (key >> bits).astype(np.uint16)
 
 
 def cells_from_fault_digits(digits: int, bits: int) -> np.ndarray:
     """Expand a base-3 key back into a per-bit ternary fault vector."""
-    out = np.zeros(bits, dtype=np.int8)
-    for k in range(bits):
-        d = (digits // 3**k) % 3
-        out[k] = {DIGIT_FAULT_FREE: FAULT_FREE, DIGIT_SA1: SA1, DIGIT_SA0: SA0}[d]
-    return out
+    sa0, sa1 = (int(m) for m in packed_from_fault_digits(digits, bits))
+    k = np.arange(bits)
+    bit0, bit1 = (sa0 >> k) & 1, (sa1 >> k) & 1
+    return np.where(bit1 == 1, SA1, np.where(bit0 == 1, SA0, FAULT_FREE)).astype(np.int8)
 
 
 @dataclass
@@ -121,15 +142,8 @@ def build_cvm_lut(bits: int, mode: str, block: int = 1 << 16) -> CvmLut:
     check_mode(mode)
     n3 = 3**bits
     dec = decode_table(bits, mode).astype(np.int64)
-
     # Per fault pattern: packed sa0/sa1 masks in key-digit order.
-    digits = np.arange(n3, dtype=np.int64)
-    sa0 = np.zeros(n3, dtype=np.uint16)
-    sa1 = np.zeros(n3, dtype=np.uint16)
-    for k in range(bits):
-        d = (digits // 3**k) % 3
-        sa0 |= ((d == DIGIT_SA0).astype(np.uint16)) << k
-        sa1 |= ((d == DIGIT_SA1).astype(np.uint16)) << k
+    sa0, sa1 = packed_from_fault_digits(np.arange(n3), bits)
 
     entries = np.empty(6**bits, dtype=np.uint8)
     for code in range(1 << bits):
@@ -175,11 +189,19 @@ def read_lut(path: str | Path) -> CvmLut:
 def load_or_build(
     bits: int, mode: str, cache_path: str | Path | None = None
 ) -> CvmLut:
-    """Read a cached table if present and matching, else build (and cache)."""
+    """Read a cached table if present, else build (and cache) one.
+
+    A cache file built for another width or mode is refused with
+    LutMismatchError and left as it is.
+    """
     if cache_path is not None and Path(cache_path).exists():
         lut = read_lut(cache_path)
-        if lut.bits == bits and lut.mode == mode:
-            return lut
+        if (lut.bits, lut.mode) != (bits, mode):
+            raise LutMismatchError(
+                f"{cache_path} holds a {lut.bits}-bit {lut.mode} table, "
+                f"not the requested {bits}-bit {mode} one"
+            )
+        return lut
     lut = build_cvm_lut(bits, mode)
     if cache_path is not None:
         write_lut(lut, cache_path)
@@ -198,13 +220,7 @@ def verify_lut(
     n3 = 3**lut.bits
     keys = rng.integers(0, 6**lut.bits, size=samples, dtype=np.int64)
     codes = keys // n3
-    digits = keys % n3
-    sa0 = np.zeros(samples, dtype=np.uint16)
-    sa1 = np.zeros(samples, dtype=np.uint16)
-    for k in range(lut.bits):
-        d = (digits // 3**k) % 3
-        sa0 |= ((d == DIGIT_SA0).astype(np.uint16)) << k
-        sa1 |= ((d == DIGIT_SA1).astype(np.uint16)) << k
+    sa0, sa1 = packed_from_fault_digits(keys % n3, lut.bits)
     dec = decode_table(lut.bits, lut.mode).astype(np.int64)
     direct = cvm_codes(dec[codes], sa0, sa1, lut.bits, lut.mode)
     table = lut.entries[keys].astype(np.uint16)

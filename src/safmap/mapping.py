@@ -15,20 +15,21 @@ whenever flipping cannot help).
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import numfmt
-from .faults import SafMask, force_write_array, transform_packed_for_flip
+from .faults import SafMask, fault_key, force_write_array, transform_packed_for_flip
 from .numfmt import (
     MODE_TWOS_COMPLEMENT,
-    MODE_UNSIGNED,
     clamp_array,
     decode_array,
     decode_table,
+    json_fields,
     value_range,
 )
 
@@ -104,14 +105,23 @@ class ChunkGeometry:
             for c in range(self.num_chunks)
         ]
 
+    def chunk_sums(self, values: np.ndarray) -> np.ndarray:
+        """(num_chunks, K) column sums of an (M, K) array over each chunk."""
+        out = np.zeros((self.num_chunks,) + values.shape[1:], dtype=np.int64)
+        for c, rows in enumerate(self.slices()):
+            out[c] = values[rows].sum(axis=0)
+        return out
+
+    def per_row(self, per_chunk: np.ndarray) -> np.ndarray:
+        """(M, K) array giving every row its chunk's (num_chunks, K) entry."""
+        return np.repeat(per_chunk, self.row_len, axis=0)[: self.rows]
+
 
 # ---------------------------------------------------------------------------
 # Direct closest-value mapping engine (full candidate enumeration).
 # ---------------------------------------------------------------------------
 
-_TABLE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, int]] = {}
-
-
+@functools.cache
 def _cvm_tables(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray, int]:
     """(err, penalty, lo) lookup tables for the enumeration engine.
 
@@ -119,9 +129,6 @@ def _cvm_tables(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray, int]:
     penalty[key, c]  : 0x00 if candidate c is legal under the packed fault
                        key (sa1 << bits | sa0), else 0xFF.
     """
-    cached = _TABLE_CACHE.get((bits, mode))
-    if cached is not None:
-        return cached
     dec = decode_table(bits, mode).astype(np.int32)
     lo, hi = value_range(bits, mode)
     targets = np.arange(lo, hi + 1, dtype=np.int32)
@@ -132,7 +139,7 @@ def _cvm_tables(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray, int]:
     sa0 = (keys & ((1 << bits) - 1))[:, None]
     legal = ((cand & sa1) == sa1) & ((cand & sa0) == 0)
     penalty = np.where(legal, np.uint8(0), _ILLEGAL)
-    _TABLE_CACHE[(bits, mode)] = (err, penalty, lo)
+    err.flags.writeable = penalty.flags.writeable = False  # shared by every caller
     return err, penalty, lo
 
 
@@ -154,10 +161,7 @@ def cvm_codes(
     err_tab, pen_tab, lo = _cvm_tables(bits, mode)
     shape = np.shape(targets)
     tidx = (clamp_array(targets, bits, mode) - lo).ravel()
-    key = (
-        (np.asarray(sa1, dtype=np.uint32).ravel() << bits)
-        | np.asarray(sa0, dtype=np.uint32).ravel()
-    )
+    key = fault_key(np.ravel(sa0), np.ravel(sa1), bits)
     out = np.empty(tidx.size, dtype=np.uint16)
     for start in range(0, tidx.size, block):
         sl = slice(start, start + block)
@@ -176,26 +180,17 @@ def cvm_codes(
     return out.reshape(shape)
 
 
-class _DirectSolver:
-    """Per-candidate enumeration backend shared by all mapping schemes."""
-
-    def __init__(self, bits: int, mode: str):
-        self.bits = bits
-        self.mode = mode
-
-    def map_codes(self, targets, sa0, sa1) -> np.ndarray:
-        return cvm_codes(targets, sa0, sa1, self.bits, self.mode)
-
-
-def _solver(layer: LayerWeights, lut) -> object:
+def _solver(layer: LayerWeights, lut):
+    """Closest-value mapping ``(targets, sa0, sa1) -> codes`` for the layer:
+    the table lookup if a table is given, else direct enumeration."""
     if lut is None:
-        return _DirectSolver(layer.bits, layer.mode)
+        return functools.partial(cvm_codes, bits=layer.bits, mode=layer.mode)
     if lut.bits != layer.bits or lut.mode != layer.mode:
         raise ValueError(
             f"LUT built for ({lut.bits}-bit, {lut.mode}) cannot map a "
             f"({layer.bits}-bit, {layer.mode}) layer"
         )
-    return lut
+    return lut.map_codes
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +217,30 @@ def cvm_map(layer: LayerWeights, mask: SafMask, lut=None) -> np.ndarray:
     """Per-weight closest legal code, ties to the smallest pattern."""
     _check_shapes(layer, mask)
     sa0, sa1 = mask.packed()
-    return _solver(layer, lut).map_codes(layer.values(), sa0, sa1)
+    return _solver(layer, lut)(layer.values(), sa0, sa1)
+
+
+def _pick_per_chunk(candidates, geom: ChunkGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Per (chunk, column), the candidate with the least summed error.
+
+    ``candidates`` yields (stored codes, per-weight error) pairs of shape
+    (M, K).  A candidate replaces the running best only when strictly
+    better, so the earliest one wins ties.  Returns the stored codes of the
+    winners and the (num_chunks, K) index of the winning candidate.
+    """
+    best_err = None
+    for i, (stored, err) in enumerate(candidates):
+        chunk_err = geom.chunk_sums(err)
+        if best_err is None:
+            best_stored, best_err = stored.copy(), chunk_err
+            best_idx = np.zeros(chunk_err.shape, dtype=np.uint16)
+            continue
+        better = chunk_err < best_err
+        if better.any():
+            best_err[better] = chunk_err[better]
+            best_idx[better] = i
+            np.copyto(best_stored, stored, where=geom.per_row(better))
+    return best_stored, best_idx
 
 
 def sign_flip_map(
@@ -237,22 +255,17 @@ def sign_flip_map(
     _check_shapes(layer, mask)
     if layer.mode != MODE_TWOS_COMPLEMENT:
         raise UnsignedLayerError("sign-flip requires two's-complement weights")
-    solver = _solver(layer, lut)
+    solve = _solver(layer, lut)
     sa0, sa1 = mask.packed()
     targets = layer.values()
-    w_pos = solver.map_codes(targets, sa0, sa1)
-    w_neg = solver.map_codes(-targets, sa0, sa1)
-    err_pos = np.abs(decode_array(w_pos, layer.bits, layer.mode) - targets)
-    err_neg = np.abs(decode_array(w_neg, layer.bits, layer.mode) + targets)
 
-    geom = ChunkGeometry(layer.rows, row_len)
-    col_flip = np.zeros((geom.num_chunks, layer.cols), dtype=np.uint8)
-    stored = w_pos.copy()
-    for c, rows in enumerate(geom.slices()):
-        flip = err_neg[rows].sum(axis=0) < err_pos[rows].sum(axis=0)
-        col_flip[c] = flip
-        stored[rows] = np.where(flip[None, :], w_neg[rows], w_pos[rows])
-    return stored, col_flip
+    def candidates():
+        for signed in (targets, -targets):
+            codes = solve(signed, sa0, sa1)
+            yield codes, np.abs(decode_array(codes, layer.bits, layer.mode) - signed)
+
+    stored, flip = _pick_per_chunk(candidates(), ChunkGeometry(layer.rows, row_len))
+    return stored, flip.astype(np.uint8)
 
 
 def bit_flip_map(
@@ -271,29 +284,16 @@ def bit_flip_map(
     (LSB first) of the chosen mask for chunk c / weight column col.
     """
     _check_shapes(layer, mask)
-    solver = _solver(layer, lut)
+    solve = _solver(layer, lut)
     sa0, sa1 = mask.packed()
     targets = layer.values()
-    geom = ChunkGeometry(layer.rows, row_len)
-    slices = geom.slices()
 
-    best_err = np.full((geom.num_chunks, layer.cols), np.iinfo(np.int64).max)
-    best_j = np.zeros((geom.num_chunks, layer.cols), dtype=np.uint16)
-    stored = np.zeros_like(layer.codes)
-    for j in range(1 << layer.bits):
-        s0, s1 = transform_packed_for_flip(sa0, sa1, j)
-        eff = solver.map_codes(targets, s0, s1)
-        err = np.abs(decode_array(eff, layer.bits, layer.mode) - targets)
-        for c, rows in enumerate(slices):
-            chunk_err = err[rows].sum(axis=0)
-            better = chunk_err < best_err[c]
-            if better.any():
-                best_err[c][better] = chunk_err[better]
-                best_j[c][better] = j
-                block = stored[rows]
-                block[:, better] = eff[rows][:, better] ^ j
-                stored[rows] = block
+    def candidates():
+        for j in range(1 << layer.bits):
+            eff = solve(targets, *transform_packed_for_flip(sa0, sa1, j))
+            yield eff ^ j, np.abs(decode_array(eff, layer.bits, layer.mode) - targets)
 
+    stored, best_j = _pick_per_chunk(candidates(), ChunkGeometry(layer.rows, row_len))
     k = np.arange(layer.bits, dtype=np.uint16)
     b_flip = ((best_j[None, :, :] >> k[:, None, None]) & 1).astype(np.uint8)
     return stored, b_flip
@@ -302,6 +302,13 @@ def bit_flip_map(
 # ---------------------------------------------------------------------------
 # Mapped layouts.
 # ---------------------------------------------------------------------------
+
+
+def _int_array(values, name: str) -> np.ndarray:
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "biu":
+        raise ValueError(f"{name} must hold integers, got {array.dtype}")
+    return array
 
 
 @dataclass
@@ -319,9 +326,29 @@ class MappedLayout:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        self.stored = np.asarray(self.stored, dtype=np.uint16)
-        self.col_flip = np.asarray(self.col_flip, dtype=np.uint8)
-        self.b_flip = np.asarray(self.b_flip, dtype=np.uint8)
+        numfmt.check_width(self.bits)
+        numfmt.check_mode(self.mode)
+        stored = _int_array(self.stored, "stored")
+        if stored.ndim != 2:
+            raise ValueError("stored codes must be an M x K matrix")
+        if stored.size and (stored.min() < 0 or stored.max() >= 1 << self.bits):
+            raise numfmt.OutOfRangeError(
+                f"stored codes must lie in [0, {(1 << self.bits) - 1}]"
+            )
+        self.stored = stored.astype(np.uint16)
+        chunks = self.geometry.num_chunks
+        for name, shape, scheme in (
+            ("col_flip", (chunks, self.cols), SCHEME_SIGNFLIP),
+            ("b_flip", (self.bits, chunks, self.cols), SCHEME_BITFLIP),
+        ):
+            flips = _int_array(getattr(self, name), name)
+            if flips.shape != shape:
+                raise ValueError(f"{name} has shape {flips.shape}, expected {shape}")
+            if flips.size and (flips.min() < 0 or flips.max() > 1):
+                raise ValueError(f"{name} entries must be 0 or 1")
+            if flips.any() and self.scheme != scheme:
+                raise ValueError(f"{name} may be set only in a {scheme} layout")
+            setattr(self, name, flips.astype(np.uint8))
 
     @property
     def rows(self) -> int:
@@ -338,42 +365,22 @@ class MappedLayout:
     def flip_masks(self) -> np.ndarray:
         """Per-chunk, per-column flip mask j assembled from b_flip bits."""
         k = np.arange(self.bits, dtype=np.uint16)
-        return (self.b_flip.astype(np.uint16) << k[:, None, None]).sum(axis=0)
+        return (self.b_flip.astype(np.uint16) << k[:, None, None]).sum(
+            axis=0, dtype=np.uint16
+        )
 
     def effective_values(self) -> np.ndarray:
         """Decoded weight each position contributes after digital correction.
 
-        Sign-flipped columns contribute the exact negation of the stored
-        value, which may be ``2**(bits-1)`` and hence not itself a code.
+        Read from the flip arrays alone.  The stored code XOR its (chunk,
+        column) correction word ``col_flip << bits | j`` indexes the decoded
+        values followed by their negations, so bit-flipped slices come out
+        complemented and sign-flipped columns negated.  A negated value may
+        be ``2**(bits-1)`` and hence not itself a code.
         """
-        values = decode_array(self.stored, self.bits, self.mode).astype(np.int64)
-        if self.scheme == SCHEME_BITFLIP:
-            jmat = self.flip_masks()
-            for c, rows in enumerate(self.geometry.slices()):
-                eff = self.stored[rows] ^ jmat[c][None, :]
-                values[rows] = decode_array(eff, self.bits, self.mode)
-        elif self.scheme == SCHEME_SIGNFLIP:
-            for c, rows in enumerate(self.geometry.slices()):
-                flip = self.col_flip[c].astype(bool)
-                block = values[rows]
-                block[:, flip] = -block[:, flip]
-                values[rows] = block
-        return values
-
-    def effective_code(self, row: int, col: int) -> int:
-        """Effective code at one position (sign-flip negation clamped)."""
-        chunk = row // self.row_len
-        if self.scheme == SCHEME_BITFLIP:
-            j = int(self.flip_masks()[chunk, col])
-            return int(self.stored[row, col]) ^ j
-        if self.scheme == SCHEME_SIGNFLIP and self.col_flip[chunk, col]:
-            value = -numfmt.decode(int(self.stored[row, col]), self.bits, self.mode)
-            return numfmt.encode(
-                numfmt.clamp_to_range(value, self.bits, self.mode),
-                self.bits,
-                self.mode,
-            )
-        return int(self.stored[row, col])
+        dec = decode_table(self.bits, self.mode).astype(np.int64)
+        word = (self.col_flip.astype(np.uint16) << self.bits) | self.flip_masks()
+        return np.concatenate([dec, -dec])[self.geometry.per_row(word) ^ self.stored]
 
     def to_json_dict(self) -> dict:
         return {
@@ -390,18 +397,20 @@ class MappedLayout:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MappedLayout":
-        rows, cols, bits = obj["rows"], obj["cols"], obj["bits"]
-        chunks = ChunkGeometry(rows, obj["row_len"]).num_chunks
+        scheme, bits, mode, row_len, rows, cols, stored, col_flip, b_flip = json_fields(
+            obj, "layout",
+            "scheme", "bits", "mode", "row_len", "rows", "cols",
+            "stored", "col_flip", "b_flip",
+        )
+        chunks = ChunkGeometry(rows, row_len).num_chunks
         return cls(
-            scheme=obj["scheme"],
+            scheme=scheme,
             bits=bits,
-            mode=obj["mode"],
-            row_len=obj["row_len"],
-            stored=np.asarray(obj["stored"], dtype=np.uint16).reshape(rows, cols),
-            col_flip=np.asarray(obj["col_flip"], dtype=np.uint8).reshape(chunks, cols),
-            b_flip=np.asarray(obj["b_flip"], dtype=np.uint8).reshape(
-                bits, chunks, cols
-            ),
+            mode=mode,
+            row_len=row_len,
+            stored=np.asarray(stored).reshape(rows, cols),
+            col_flip=np.asarray(col_flip).reshape(chunks, cols),
+            b_flip=np.asarray(b_flip).reshape(bits, chunks, cols),
         )
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:
@@ -452,9 +461,5 @@ def mapping_error(
 ) -> tuple[np.ndarray, int]:
     """Sum of |effective - target| decoded errors, per (chunk, column) and
     in total."""
-    targets = layer.values()
-    err = np.abs(layout.effective_values() - targets)
-    per_col = np.stack(
-        [err[rows].sum(axis=0) for rows in layout.geometry.slices()]
-    )
-    return per_col, int(err.sum())
+    err = np.abs(layout.effective_values() - layer.values())
+    return layout.geometry.chunk_sums(err), int(err.sum())

@@ -57,12 +57,15 @@ class CodeWord:
             )
 
 
-@dataclass(frozen=True)
-class DecodedValue:
-    """A decoded signed integer together with the mode that produced it."""
-
-    value: int
-    mode: str
+def json_fields(obj, what: str, *keys: str) -> tuple:
+    """The values of ``keys`` in a parsed JSON object, in order; a missing
+    key is a ValueError that names it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} is missing key {key!r}")
+    return tuple(obj[key] for key in keys)
 
 
 def decode(bits: int, width: int, mode: str) -> int:

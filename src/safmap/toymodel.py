@@ -10,7 +10,7 @@ after the first layer can stream as unsigned activations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

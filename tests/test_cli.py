@@ -170,3 +170,58 @@ def test_train_and_eval_round_trip(tmp_path):
 
 def test_missing_file_is_runtime_error(tmp_path):
     assert main(["lut", "verify", "--lut", str(tmp_path / "nope.lut")]) == 1
+
+
+def test_map_refuses_lut_cache_of_another_width(tmp_path, capsys):
+    table = tmp_path / "n4.lut"
+    assert main(["lut", "build", "--bits", "4", "--out", str(table)]) == 0
+    before = table.read_bytes()
+    weights = tmp_path / "w.json"
+    write_weights(weights, [[1, -2], [3, 0]])
+    mask_path = tmp_path / "m.json"
+    assert main(["inject", "--rows", "2", "--cols", "2", "--bits", "3",
+                 "--rate", "0.2", "--out", str(mask_path)]) == 0
+    capsys.readouterr()
+    code = main(["map", "--scheme", "cvm", "--weights", str(weights),
+                 "--mask", str(mask_path), "--bits", "3", "--lut", str(table),
+                 "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "4-bit twos_complement" in err and "3-bit twos_complement" in err
+    assert table.read_bytes() == before
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("mask", "bits"), ("weights", "values"), ("layout", "b_flip"), ("activations", "m")],
+)
+def test_missing_json_key_is_runtime_error(tmp_path, capsys, kind, key):
+    weights = tmp_path / "w.json"
+    write_weights(weights, [[3], [-2]])
+    mask_path = tmp_path / "m.json"
+    assert main(["inject", "--rows", "2", "--cols", "1", "--bits", "4",
+                 "--rate", "0", "--out", str(mask_path)]) == 0
+    layout = tmp_path / "layout.json"
+    map_argv = ["map", "--scheme", "cvm", "--weights", str(weights),
+                "--mask", str(mask_path), "--bits", "4", "--row-len", "2",
+                "--out", str(layout)]
+    assert main(map_argv) == 0
+    acts = tmp_path / "a.json"
+    acts.write_text(json.dumps({"m": 4, "mode": "unsigned", "values": [1, 2]}))
+
+    path = {"mask": mask_path, "weights": weights, "layout": layout,
+            "activations": acts}[kind]
+    obj = json.loads(path.read_text())
+    del obj[key]
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    if kind in ("mask", "weights"):
+        code = main(map_argv)
+    else:
+        code = main(["mvm", "--layout", str(layout), "--activations", str(acts),
+                     "--out", str(tmp_path / "y.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repr(key) in err
+    assert "Traceback" not in err

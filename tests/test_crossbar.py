@@ -10,18 +10,24 @@ from safmap.crossbar import (
     mvm_exact,
     mvm_simulate,
     mvm_simulate_batch,
-    reconstruct,
 )
 from safmap.faults import FaultInjectionSpec, SafMask, gen_saf_mask
 from safmap.mapping import (
+    ChunkGeometry,
     LayerWeights,
+    MappedLayout,
     SCHEME_BITFLIP,
     SCHEME_CVM,
     SCHEME_NAIVE,
     SCHEME_SIGNFLIP,
     build_layout,
 )
-from safmap.numfmt import MODE_TWOS_COMPLEMENT as TWOS, MODE_UNSIGNED as UNSIGNED, value_range
+from safmap.numfmt import (
+    MODE_TWOS_COMPLEMENT as TWOS,
+    MODE_UNSIGNED as UNSIGNED,
+    encode_array,
+    value_range,
+)
 
 SCHEMES = (SCHEME_NAIVE, SCHEME_CVM, SCHEME_SIGNFLIP, SCHEME_BITFLIP)
 
@@ -33,45 +39,25 @@ def test_mvm_exact_examples():
     with pytest.raises(DimensionMismatchError):
         mvm_exact(w, np.array([1, 2, 3]))
 
+    # Worked examples through the bit-level simulator.  One weight -1 (2-bit
+    # two's complement 0b11) and activation 3 (2-bit unsigned 0b11): every
+    # (slice, stream) partial is 1, and shift-and-add gives 1 + 2 - 2 - 4 = -3.
+    cfg = CrossbarConfig(row_len=1, weight_bits=2, activation_bits=2,
+                         weight_mode=TWOS, activation_mode=UNSIGNED)
+    layout = MappedLayout(SCHEME_NAIVE, 2, TWOS, 1, [[0b11]],
+                          [[0]], [[[0]], [[0]]])
+    assert mvm_simulate(layout, ActivationVector([3], 2, UNSIGNED), cfg).tolist() == [-3]
 
-def test_reconstruct_single_weight_example():
-    # one weight -1 (2-bit two's complement code 0b11), activation 3
-    # (2-bit unsigned 0b11): every (slice, stream) pair is active, so all
-    # partials are 1 and shift-and-add gives 1 + 2 - 2 - 4 = -3.
-    cfg = CrossbarConfig(
-        row_len=1,
-        weight_bits=2,
-        activation_bits=2,
-        weight_mode=TWOS,
-        activation_mode=UNSIGNED,
-    )
-    assert reconstruct(np.ones((2, 2)), cfg) == -3
-
-
-def test_reconstruct_flip_correction():
-    cfg = CrossbarConfig(
-        row_len=4,
-        weight_bits=2,
-        activation_bits=2,
-        weight_mode=UNSIGNED,
-        activation_mode=UNSIGNED,
-    )
-    partials = np.array([[3, 1], [0, 2]])
-    plain = reconstruct(partials, cfg)
-    assert plain == 3 + 2 * 1 + 2 * 0 + 4 * 2
-    sums = np.array([4, 2])  # activation bit sums per stream
-    corrected = reconstruct(
-        partials, cfg, flipped_slices=np.array([True, False]), activation_bit_sums=sums
-    )
-    assert corrected == (4 - 3) + 2 * (2 - 1) + 2 * 0 + 4 * 2
-    with pytest.raises(ValueError):
-        reconstruct(partials, cfg, flipped_slices=np.array([True, False]))
-
-
-def test_reconstruct_shape_check():
-    cfg = CrossbarConfig(weight_bits=4, activation_bits=4)
-    with pytest.raises(DimensionMismatchError):
-        reconstruct(np.zeros((3, 4)), cfg)
+    # Bit-flip correction: stored [0b01, 0b00] with slice 0 flipped reads as
+    # [0, 1].  Activations [1, 2] give stream bit sums [1, 1]; slice 0's raw
+    # partials [1, 0] become [1 - 1, 1 - 0] = [0, 1] before shift-and-add,
+    # so the output is 2 * 1 = 2 (uncorrected it would be 1).
+    cfg = CrossbarConfig(row_len=2, weight_bits=2, activation_bits=2,
+                         weight_mode=UNSIGNED, activation_mode=UNSIGNED)
+    layout = MappedLayout(SCHEME_BITFLIP, 2, UNSIGNED, 2, [[0b01], [0b00]],
+                          [[0]], [[[1]], [[0]]])
+    assert layout.effective_values().tolist() == [[0], [1]]
+    assert mvm_simulate(layout, ActivationVector([1, 2], 2, UNSIGNED), cfg).tolist() == [2]
 
 
 def test_activation_vector_validation():
@@ -155,6 +141,41 @@ def test_simulation_matches_effective_value_oracle(seed, scheme, wmode, amode, n
     for chunk in layout.geometry.slices():
         want += acts.values[chunk] @ eff[chunk]
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    scheme=st.sampled_from(SCHEMES),
+    wmode=st.sampled_from([UNSIGNED, TWOS]),
+    amode=st.sampled_from([UNSIGNED, TWOS]),
+    n=st.integers(1, 5),
+    mbits=st.integers(1, 4),
+)
+def test_simulation_matches_effective_values_on_any_valid_layout(
+    seed, scheme, wmode, amode, n, mbits
+):
+    """Layouts built directly, with flips no mapping scheme would choose:
+    the simulator and a @ effective_values read the same flip arrays."""
+    rng = np.random.default_rng(seed)
+    rows = int(rng.integers(1, 10))
+    cols = int(rng.integers(1, 5))
+    row_len = int(rng.integers(1, rows + 2))
+    chunks = ChunkGeometry(rows, row_len).num_chunks
+    col_flip = np.zeros((chunks, cols), dtype=np.uint8)
+    b_flip = np.zeros((n, chunks, cols), dtype=np.uint8)
+    if scheme == SCHEME_SIGNFLIP:
+        col_flip = rng.integers(0, 2, size=col_flip.shape)
+    if scheme == SCHEME_BITFLIP:
+        b_flip = rng.integers(0, 2, size=b_flip.shape)
+    stored = rng.integers(0, 1 << n, size=(rows, cols))
+    layout = MappedLayout(scheme, n, wmode, row_len, stored, col_flip, b_flip)
+    cfg = CrossbarConfig(row_len=row_len, weight_bits=n, activation_bits=mbits,
+                         weight_mode=wmode, activation_mode=amode)
+    alo, ahi = value_range(mbits, amode)
+    acts = rng.integers(alo, ahi + 1, size=(int(rng.integers(1, 4)), rows))
+    got = mvm_simulate_batch(layout, encode_array(acts, mbits, amode), cfg)
+    assert np.array_equal(got, acts @ layout.effective_values())
 
 
 def test_batch_matches_single():

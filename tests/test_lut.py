@@ -6,12 +6,14 @@ from safmap.faults import FAULT_FREE as FF, SA0, SA1
 from safmap.lut import (
     CvmLut,
     LutFormatError,
+    LutMismatchError,
     UnsupportedWidthError,
     build_cvm_lut,
     cells_from_fault_digits,
     cvm_lookup,
     fault_digits_from_packed,
     load_or_build,
+    packed_from_fault_digits,
     read_lut,
     verify_lut,
     write_lut,
@@ -25,6 +27,7 @@ def test_key_digit_round_trip():
         digits = int(fault_digits_from_packed(np.array([sa0]), np.array([sa1]), 4)[0])
         assert digits == pattern
         assert cells_from_fault_digits(digits, 4).tolist() == cell
+        assert [int(m) for m in packed_from_fault_digits(digits, 4)] == [sa0, sa1]
 
 
 def test_n1_table_has_six_entries():
@@ -109,10 +112,14 @@ def test_load_or_build_caches(tmp_path):
     second = load_or_build(3, UNSIGNED, path)
     assert path.stat().st_mtime_ns == stamp  # reused, not rebuilt
     assert np.array_equal(first.entries, second.entries)
-    # a cache for the wrong mode is ignored and overwritten
-    third = load_or_build(3, TWOS, path)
-    assert read_lut(path).mode == TWOS
-    assert np.array_equal(third.entries, build_cvm_lut(3, TWOS).entries)
+    # a cache for another mode or width is refused and left untouched
+    before = path.read_bytes()
+    with pytest.raises(LutMismatchError, match="3-bit unsigned"):
+        load_or_build(3, TWOS, path)
+    with pytest.raises(LutMismatchError, match="4-bit unsigned"):
+        load_or_build(4, UNSIGNED, path)
+    assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns == stamp
 
 
 def test_map_codes_matches_direct_engine_random_n8():

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import (
     all_fault_cells,
@@ -17,6 +21,7 @@ from safmap.mapping import (
     SCHEME_CVM,
     SCHEME_NAIVE,
     SCHEME_SIGNFLIP,
+    SCHEMES,
     UnsignedLayerError,
     bit_flip_map,
     build_layout,
@@ -263,36 +268,6 @@ def test_outputs_are_deterministic():
         assert a.b_flip.tobytes() == b.b_flip.tobytes()
 
 
-def test_effective_code_examples():
-    layer = column_layer([7], 4, TWOS)
-    clean = SafMask(np.zeros((1, 1, 4), dtype=np.int8))
-    naive = build_layout(SCHEME_NAIVE, layer, clean, 1)
-    assert naive.effective_code(0, 0) == naive.stored[0, 0]
-
-    bitflip = MappedLayout(
-        scheme=SCHEME_BITFLIP,
-        bits=4,
-        mode=UNSIGNED,
-        row_len=1,
-        stored=np.array([[0b1000]], dtype=np.uint16),
-        col_flip=np.zeros((1, 1), dtype=np.uint8),
-        b_flip=np.array([[[0]], [[0]], [[0]], [[1]]], dtype=np.uint8),
-    )
-    assert bitflip.effective_code(0, 0) == 0b0000
-
-    signflip = MappedLayout(
-        scheme=SCHEME_SIGNFLIP,
-        bits=4,
-        mode=TWOS,
-        row_len=1,
-        stored=np.array([[0b1001]], dtype=np.uint16),
-        col_flip=np.ones((1, 1), dtype=np.uint8),
-        b_flip=np.zeros((4, 1, 1), dtype=np.uint8),
-    )
-    assert signflip.effective_code(0, 0) == 0b0111  # -(-7) = +7
-    assert signflip.effective_values()[0, 0] == 7
-
-
 def test_signflip_effective_value_can_exceed_code_range():
     layout = MappedLayout(
         scheme=SCHEME_SIGNFLIP,
@@ -304,7 +279,25 @@ def test_signflip_effective_value_can_exceed_code_range():
         b_flip=np.zeros((4, 1, 1), dtype=np.uint8),
     )
     assert layout.effective_values()[0, 0] == 8  # exact digital negation
-    assert layout.effective_code(0, 0) == 0b0111  # clamped code view
+
+    layout = dataclasses.replace(layout, stored=[[0b1001]])  # -7
+    assert layout.effective_values()[0, 0] == 7
+
+    bitflip = MappedLayout(
+        scheme=SCHEME_BITFLIP,
+        bits=4,
+        mode=UNSIGNED,
+        row_len=1,
+        stored=np.array([[0b1000]], dtype=np.uint16),
+        col_flip=np.zeros((1, 1), dtype=np.uint8),
+        b_flip=np.array([[[0]], [[0]], [[0]], [[1]]], dtype=np.uint8),
+    )
+    assert bitflip.effective_values()[0, 0] == 0  # 0b1000 XOR 0b1000
+
+    layer = column_layer([7], 4, TWOS)
+    clean = SafMask(np.zeros((1, 1, 4), dtype=np.int8))
+    naive = build_layout(SCHEME_NAIVE, layer, clean, 1)
+    assert naive.effective_values()[0, 0] == 7
 
 
 def test_chunk_geometry():
@@ -325,6 +318,102 @@ def test_layout_json_round_trip(tmp_path):
     assert np.array_equal(loaded.stored, layout.stored)
     assert np.array_equal(loaded.b_flip, layout.b_flip)
     assert np.array_equal(loaded.col_flip, layout.col_flip)
+
+
+def valid_layout_args(scheme, bits=3, rows=5, cols=2, row_len=2):
+    chunks = ChunkGeometry(rows, row_len).num_chunks
+    return dict(
+        scheme=scheme,
+        bits=bits,
+        mode=TWOS,
+        row_len=row_len,
+        stored=np.zeros((rows, cols), dtype=np.uint16),
+        col_flip=np.zeros((chunks, cols), dtype=np.uint8),
+        b_flip=np.zeros((bits, chunks, cols), dtype=np.uint8),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    bits=st.integers(1, 8),
+    excess=st.integers(0, 1 << 20),
+    negative=st.booleans(),
+    position=st.integers(0, 9),
+)
+def test_layout_rejects_codes_outside_width(scheme, bits, excess, negative, position):
+    args = valid_layout_args(scheme, bits=bits)
+    args["stored"] = args["stored"].astype(np.int64)
+    args["stored"].flat[position] = -1 - excess if negative else (1 << bits) + excess
+    with pytest.raises(ValueError, match="stored"):
+        MappedLayout(**args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    name=st.sampled_from(["col_flip", "b_flip"]),
+    value=st.one_of(st.integers(2, 1000), st.integers(-1000, -1)),
+)
+def test_layout_rejects_non_binary_flips(scheme, name, value):
+    args = valid_layout_args(scheme)
+    args[name] = args[name].astype(np.int64)
+    args[name].flat[-1] = value
+    with pytest.raises(ValueError, match="0 or 1"):
+        MappedLayout(**args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    name=st.sampled_from(["col_flip", "b_flip"]),
+    axis=st.integers(0, 2),
+    delta=st.sampled_from([-1, 1]),
+)
+def test_layout_rejects_misshaped_flips(scheme, name, axis, delta):
+    args = valid_layout_args(scheme)
+    shape = list(args[name].shape)
+    if axis >= len(shape):
+        shape.append(1)  # one axis too many
+    else:
+        shape[axis] += delta
+    args[name] = np.zeros(shape, dtype=np.uint8)
+    with pytest.raises(ValueError, match="shape"):
+        MappedLayout(**args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    name=st.sampled_from(["col_flip", "b_flip"]),
+    position=st.integers(0, 17),
+)
+def test_layout_rejects_flips_of_another_scheme(scheme, name, position):
+    owner = {"col_flip": SCHEME_SIGNFLIP, "b_flip": SCHEME_BITFLIP}[name]
+    args = valid_layout_args(scheme)
+    flips = args[name]
+    flips.flat[position % flips.size] = 1
+    if scheme == owner:
+        MappedLayout(**args)  # the flips belong to this scheme
+    else:
+        with pytest.raises(ValueError, match=f"only in a {owner} layout"):
+            MappedLayout(**args)
+
+
+def test_layout_json_rejects_invalid_or_incomplete_files():
+    layout = MappedLayout(**valid_layout_args(SCHEME_SIGNFLIP))
+    obj = layout.to_json_dict()
+    assert MappedLayout.from_json_dict(obj).scheme == SCHEME_SIGNFLIP
+    for key in obj:
+        partial = {k: v for k, v in obj.items() if k != key}
+        with pytest.raises(ValueError, match=repr(key)):
+            MappedLayout.from_json_dict(partial)
+    for key, value in (("stored", 9999), ("b_flip", 1), ("col_flip", 7)):
+        bad = dict(obj, **{key: [value] * len(obj[key])})
+        with pytest.raises(ValueError):
+            MappedLayout.from_json_dict(bad)
+    with pytest.raises(ValueError, match="integers"):
+        MappedLayout.from_json_dict(dict(obj, stored=[0.5] * len(obj["stored"])))
 
 
 def test_shape_mismatch_rejected():

@@ -1,0 +1,88 @@
+"""Print SHA-256 digests of every mapping output on a fixed set of cases.
+
+Run it once per source tree and compare the printed lines; equal digests
+mean bit-identical ``stored``, ``col_flip``, ``b_flip``, effective values
+and mapping error for every scheme, with the table and with the direct
+enumeration engine:
+
+    PYTHONPATH=src python tools/mapping_digest.py > new.txt
+    PYTHONPATH=<other checkout>/src python tools/mapping_digest.py > old.txt
+    diff old.txt new.txt
+
+Cases: 240 random small layers (1-5 bits, both decoding modes, random
+shape, row length and fault rate) and one 512x512 8-bit layer at 5%
+faults.  The large case runs the direct bit-flip search (256 full
+enumeration passes), so a run takes about 40 s on one CPU.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from safmap.faults import sample_saf_mask
+from safmap.lut import build_cvm_lut
+from safmap.mapping import SCHEMES, LayerWeights, build_layout, mapping_error
+from safmap.numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED
+
+
+def layout_arrays(layer, mask, row_len, table):
+    """Every output of every scheme that applies to this layer."""
+    for scheme in SCHEMES:
+        if scheme == "signflip" and layer.mode == MODE_UNSIGNED:
+            continue
+        layout = build_layout(scheme, layer, mask, row_len, lut=table)
+        per_col, total = mapping_error(layout, layer)
+        yield from (
+            layout.stored.astype(np.uint16),
+            layout.col_flip.astype(np.uint8),
+            layout.b_flip.astype(np.uint8),
+            layout.effective_values().astype(np.int64),
+            per_col.astype(np.int64),
+            np.int64(total),
+        )
+
+
+def digest(cases, engine: str) -> str:
+    h = hashlib.sha256()
+    tables = {}
+    for layer, mask, row_len in cases:
+        table = None
+        if engine == "lut":
+            key = (layer.bits, layer.mode)
+            if key not in tables:
+                tables[key] = build_cvm_lut(*key)
+            table = tables[key]
+        for array in layout_arrays(layer, mask, row_len, table):
+            h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+def small_cases(count: int = 240):
+    rng = np.random.default_rng(2024)
+    for i in range(count):
+        bits = 1 + i % 5
+        mode = (MODE_UNSIGNED, MODE_TWOS_COMPLEMENT)[(i // 5) % 2]
+        rows, cols = (int(v) for v in rng.integers(1, 13, size=2))
+        row_len = int(rng.integers(1, rows + 1))
+        codes = rng.integers(0, 1 << bits, size=(rows, cols)).astype(np.uint16)
+        mask = sample_saf_mask(rng, (rows, cols, bits), float(rng.uniform(0, 0.4)))
+        yield LayerWeights(codes, bits, mode), mask, row_len
+
+
+def large_case():
+    rng = np.random.default_rng(512)
+    codes = rng.integers(0, 256, size=(512, 512)).astype(np.uint16)
+    mask = sample_saf_mask(rng, (512, 512, 8), 0.05)
+    yield LayerWeights(codes, 8, MODE_TWOS_COMPLEMENT), mask, 64
+
+
+def main() -> None:
+    for name, cases in (("small", small_cases), ("512x512", large_case)):
+        for engine in ("lut", "direct"):
+            print(f"{name:8s} {engine:6s} {digest(cases(), engine)}")
+
+
+if __name__ == "__main__":
+    main()
