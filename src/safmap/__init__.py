@@ -21,13 +21,10 @@ from .faults import (
     InvalidRateError,
     SafMask,
     count_unmasked,
-    force_write,
     gen_saf_mask,
-    is_legal,
-    transform_mask_for_flip,
 )
 from .harness import EvalReport, SweepSpec, bench_lut, run_inference, run_sweep
-from .lut import CvmLut, build_cvm_lut, cvm_lookup, load_or_build, read_lut, write_lut
+from .lut import CvmLut, build_cvm_lut, load_or_build, read_lut, write_lut
 from .mapping import (
     ChunkGeometry,
     LayerWeights,
@@ -41,16 +38,6 @@ from .mapping import (
     naive_map,
     sign_flip_map,
 )
-from .numfmt import (
-    MODE_TWOS_COMPLEMENT,
-    MODE_UNSIGNED,
-    CodeWord,
-    OutOfRangeError,
-    bit_slice,
-    clamp_to_range,
-    decode,
-    encode,
-    xor_mask,
-)
+from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, OutOfRangeError, decode
 from .quant import NonFiniteError, QuantizedTensor, dequantize, quantize
 from .toymodel import ToyModel, TrainingDivergedError, make_blob_dataset, train_toy

@@ -56,7 +56,7 @@ def parse_rates(text: str) -> list[float]:
 
 def _load_weights(path: str, bits: int, mode: str) -> LayerWeights:
     rows, cols, values = numfmt.json_fields(
-        json.loads(Path(path).read_text()), "weights", "rows", "cols", "values"
+        json.loads(Path(path).read_text()), "weights", rows=int, cols=int, values=list
     )
     values = np.asarray(values, dtype=np.int64).reshape(rows, cols)
     return LayerWeights.from_values(values, bits, mode)
@@ -127,13 +127,12 @@ def cmd_map(args) -> int:
 def cmd_mvm(args) -> int:
     layout = MappedLayout.load(args.layout)
     activations = ActivationVector.load(args.activations)
-    overrides = json.loads(Path(args.config).read_text()) if args.config else {}
     cfg = CrossbarConfig(
-        row_len=overrides.get("row_len", layout.row_len),
-        weight_bits=overrides.get("n", layout.bits),
-        activation_bits=overrides.get("m", activations.bits),
-        weight_mode=overrides.get("weight_mode", layout.mode),
-        activation_mode=overrides.get("activation_mode", activations.mode),
+        row_len=layout.row_len,
+        weight_bits=layout.bits,
+        activation_bits=activations.bits,
+        weight_mode=layout.mode,
+        activation_mode=activations.mode,
     )
     outputs = mvm_simulate(layout, activations, cfg)
     Path(args.out).write_text(json.dumps([int(v) for v in outputs]))
@@ -298,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mvm", help="simulate one matrix-vector product")
     p.add_argument("--layout", required=True)
     p.add_argument("--activations", required=True)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mvm)
 

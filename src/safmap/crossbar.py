@@ -82,7 +82,9 @@ class ActivationVector:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ActivationVector":
-        values, bits, mode = json_fields(obj, "activations", "values", "m", "mode")
+        values, bits, mode = json_fields(
+            obj, "activations", values=list, m=int, mode=str
+        )
         return cls(values=np.asarray(values, dtype=np.int64), bits=bits, mode=mode)
 
     @classmethod

@@ -1,4 +1,4 @@
-"""Stuck-at-fault masks: representation, random injection, legality tests.
+"""Stuck-at-fault masks: representation, random injection, packed bit masks.
 
 A fault mask is a ternary tensor over (row, col, bit): -1 = stuck-at-0,
 0 = fault-free, +1 = stuck-at-1.  For vectorized work the per-cell states
@@ -93,7 +93,9 @@ class SafMask:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SafMask":
-        *shape, data = json_fields(obj, "fault mask", "rows", "cols", "bits", "data")
+        *shape, data = json_fields(
+            obj, "fault mask", rows=int, cols=int, bits=int, data=list
+        )
         data = np.asarray(data, dtype=np.int8)
         if data.size != shape[0] * shape[1] * shape[2]:
             raise ValueError("mask data length does not match rows*cols*bits")
@@ -140,27 +142,9 @@ def gen_saf_mask(spec: FaultInjectionSpec, shape: tuple[int, int, int]) -> SafMa
     return sample_saf_mask(rng, shape, spec.rate, spec.sa1_fraction)
 
 
-def _pack_cell(cell: np.ndarray) -> tuple[int, int]:
-    """Pack one per-bit fault vector into (sa0, sa1) integer bit masks."""
-    cell = np.asarray(cell, dtype=np.int8)
-    weights = 1 << np.arange(cell.size)
-    return int(weights[cell == SA0].sum()), int(weights[cell == SA1].sum())
-
-
-def is_legal(code: int, cell: np.ndarray) -> bool:
-    """True iff the code agrees with every stuck bit of the fault vector."""
-    sa0, sa1 = _pack_cell(cell)
-    return (code & sa1) == sa1 and (code & sa0) == 0
-
-
-def force_write(code: int, cell: np.ndarray) -> int:
-    """Naive write: stuck bits override the target, fault-free bits copy it."""
-    sa0, sa1 = _pack_cell(cell)
-    return (code | sa1) & ~sa0
-
-
 def force_write_array(codes: np.ndarray, sa0: np.ndarray, sa1: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`force_write` on packed (sa0, sa1) masks."""
+    """Naive write on packed (sa0, sa1) masks: stuck bits override the
+    target, fault-free bits copy it."""
     codes = np.asarray(codes, dtype=np.uint16)
     return (codes | sa1) & ~sa0
 
@@ -171,24 +155,15 @@ def fault_key(sa0: np.ndarray, sa1: np.ndarray, bits: int) -> np.ndarray:
     return (np.asarray(sa1, dtype=np.uint32) << bits) | np.asarray(sa0, dtype=np.uint32)
 
 
-def transform_mask_for_flip(cell: np.ndarray, j: int) -> np.ndarray:
+def transform_packed_for_flip(
+    sa0: np.ndarray, sa1: np.ndarray, j: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Swap SA0 <-> SA1 at every bit position set in the flip mask ``j``.
 
     A stored stuck-at-1 bit in a flipped slice contributes an effective 0
     after digital correction, so in the effective domain its fault acts as
     stuck-at-0 (and vice versa).  Involutive in j.
     """
-    cell = np.asarray(cell, dtype=np.int8)
-    flipped = np.array([(j >> k) & 1 for k in range(cell.size)], dtype=bool)
-    out = cell.copy()
-    out[flipped] = -out[flipped]
-    return out
-
-
-def transform_packed_for_flip(
-    sa0: np.ndarray, sa1: np.ndarray, j: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Packed-mask version of :func:`transform_mask_for_flip`."""
     sa0 = np.asarray(sa0, dtype=np.uint16)
     sa1 = np.asarray(sa1, dtype=np.uint16)
     jm = np.uint16(j)

@@ -29,6 +29,7 @@ from .mapping import (
     MappedLayout,
     SCHEMES,
     build_layout,
+    mapping_error,
     sign_flip_map,
     bit_flip_map,
 )
@@ -110,11 +111,7 @@ class EvalReport:
 def layer_weight_matrices(qmodel: QuantizedModel) -> list[LayerWeights]:
     """Ideal weight code matrices of every layer."""
     return [
-        LayerWeights(
-            encode_array(ql.weights.codes, ql.weights.bits, ql.weights.mode),
-            ql.weights.bits,
-            ql.weights.mode,
-        )
+        LayerWeights.from_values(ql.weights.codes, ql.weights.bits, ql.weights.mode)
         for ql in qmodel.layers
     ]
 
@@ -123,16 +120,16 @@ def run_inference(
     qmodel: QuantizedModel,
     layouts: list[MappedLayout],
     x: np.ndarray,
-    row_len: int = 64,
 ) -> np.ndarray:
     """Integer inference with every matrix product routed through the
-    crossbar simulator; inter-layer rescaling uses the product of weight
-    and activation scales."""
+    crossbar simulator, chunked by each layout's own ``row_len``;
+    inter-layer rescaling uses the product of weight and activation
+    scales."""
     if len(layouts) != len(qmodel.layers):
         raise ValueError("one layout per layer required")
     for ql, layout in zip(qmodel.layers, layouts):
         cfg = CrossbarConfig(
-            row_len=row_len,
+            row_len=layout.row_len,
             weight_bits=ql.weights.bits,
             activation_bits=ql.act_bits,
             weight_mode=ql.weights.mode,
@@ -168,8 +165,7 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
     qmodel = quantize_model(model, spec.weight_bits, spec.act_bits)
     layers = layer_weight_matrices(qmodel)
     shapes = [(lw.rows, lw.cols, lw.bits) for lw in layers]
-    targets = [lw.values() for lw in layers]
-    total_weights = sum(t.size for t in targets)
+    total_weights = sum(lw.codes.size for lw in layers)
     total_cells = sum(r * c * b for r, c, b in shapes)
     lut = build_cvm_lut(spec.weight_bits, MODE_TWOS_COMPLEMENT)
 
@@ -187,10 +183,9 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
             ]
             map_seconds = time.perf_counter() - start
             abs_err = sum(
-                int(np.abs(layout.effective_values() - target).sum())
-                for layout, target in zip(layouts, targets)
+                mapping_error(layout, lw)[1] for layout, lw in zip(layouts, layers)
             )
-            labels = run_inference(qmodel, layouts, x_test, spec.row_len)
+            labels = run_inference(qmodel, layouts, x_test)
             out[scheme] = {
                 "acc": float((labels == y_test).mean()),
                 "abs_err": abs_err / total_weights,

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .faults import FAULT_FREE, SA0, SA1, fault_key
+from .faults import fault_key
 from .mapping import cvm_codes
 from .numfmt import (
     MODE_TWOS_COMPLEMENT,
@@ -95,14 +95,6 @@ def packed_from_fault_digits(
     return (key & ((1 << bits) - 1)).astype(np.uint16), (key >> bits).astype(np.uint16)
 
 
-def cells_from_fault_digits(digits: int, bits: int) -> np.ndarray:
-    """Expand a base-3 key back into a per-bit ternary fault vector."""
-    sa0, sa1 = (int(m) for m in packed_from_fault_digits(digits, bits))
-    k = np.arange(bits)
-    bit0, bit1 = (sa0 >> k) & 1, (sa1 >> k) & 1
-    return np.where(bit1 == 1, SA1, np.where(bit0 == 1, SA0, FAULT_FREE)).astype(np.int8)
-
-
 @dataclass
 class CvmLut:
     """Closest-value mapping results for every key of one (width, mode)."""
@@ -136,7 +128,7 @@ class CvmLut:
         return self.entries[index].astype(np.uint16).reshape(shape)
 
 
-def build_cvm_lut(bits: int, mode: str, block: int = 1 << 16) -> CvmLut:
+def build_cvm_lut(bits: int, mode: str) -> CvmLut:
     """Run closest-value mapping over all 6**bits keys."""
     _check_width(bits)
     check_mode(mode)
@@ -148,19 +140,9 @@ def build_cvm_lut(bits: int, mode: str, block: int = 1 << 16) -> CvmLut:
     entries = np.empty(6**bits, dtype=np.uint8)
     for code in range(1 << bits):
         target = np.full(n3, dec[code])
-        mapped = cvm_codes(target, sa0, sa1, bits, mode, block=block)
+        mapped = cvm_codes(target, sa0, sa1, bits, mode)
         entries[code * n3 : (code + 1) * n3] = mapped.astype(np.uint8)
     return CvmLut(bits=bits, mode=mode, entries=entries)
-
-
-def cvm_lookup(lut: CvmLut, target_value: int, cell: np.ndarray) -> int:
-    """Single-weight lookup from a decoded target and per-bit fault vector."""
-    cell = np.asarray(cell, dtype=np.int8)
-    if cell.size != lut.bits:
-        raise ValueError("fault vector length does not match table width")
-    sa0 = sum(1 << k for k in range(lut.bits) if cell[k] == SA0)
-    sa1 = sum(1 << k for k in range(lut.bits) if cell[k] == SA1)
-    return int(lut.map_codes(np.array([target_value]), [sa0], [sa1])[0])
 
 
 def write_lut(lut: CvmLut, path: str | Path) -> None:

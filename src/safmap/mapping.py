@@ -40,6 +40,9 @@ SCHEME_BITFLIP = "bitflip"
 SCHEMES = (SCHEME_NAIVE, SCHEME_CVM, SCHEME_SIGNFLIP, SCHEME_BITFLIP)
 
 _ILLEGAL = np.uint8(0xFF)
+# Weights per pass of the enumeration engine; bounds its (block, 2**bits)
+# temporaries to a few tens of MB at 8 bits.
+_BLOCK = 1 << 16
 
 
 class UnsignedLayerError(ValueError):
@@ -95,10 +98,6 @@ class ChunkGeometry:
     def num_chunks(self) -> int:
         return -(-self.rows // self.row_len)
 
-    @property
-    def last_chunk_rows(self) -> int:
-        return self.rows - self.row_len * (self.num_chunks - 1)
-
     def slices(self) -> list[slice]:
         return [
             slice(c * self.row_len, min((c + 1) * self.row_len, self.rows))
@@ -144,12 +143,7 @@ def _cvm_tables(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def cvm_codes(
-    targets: np.ndarray,
-    sa0: np.ndarray,
-    sa1: np.ndarray,
-    bits: int,
-    mode: str,
-    block: int = 1 << 16,
+    targets: np.ndarray, sa0: np.ndarray, sa1: np.ndarray, bits: int, mode: str
 ) -> np.ndarray:
     """Closest-value mapping by enumerating all ``2**bits`` candidates.
 
@@ -163,8 +157,8 @@ def cvm_codes(
     tidx = (clamp_array(targets, bits, mode) - lo).ravel()
     key = fault_key(np.ravel(sa0), np.ravel(sa1), bits)
     out = np.empty(tidx.size, dtype=np.uint16)
-    for start in range(0, tidx.size, block):
-        sl = slice(start, start + block)
+    for start in range(0, tidx.size, _BLOCK):
+        sl = slice(start, start + _BLOCK)
         masked = err_tab[tidx[sl]] | pen_tab[key[sl]]
         idx = masked.argmin(axis=1)
         # 0xFF is ambiguous: it marks illegal candidates but is also a real
@@ -399,8 +393,8 @@ class MappedLayout:
     def from_json_dict(cls, obj: dict) -> "MappedLayout":
         scheme, bits, mode, row_len, rows, cols, stored, col_flip, b_flip = json_fields(
             obj, "layout",
-            "scheme", "bits", "mode", "row_len", "rows", "cols",
-            "stored", "col_flip", "b_flip",
+            scheme=str, bits=int, mode=str, row_len=int, rows=int, cols=int,
+            stored=list, col_flip=list, b_flip=list,
         )
         chunks = ChunkGeometry(rows, row_len).num_chunks
         return cls(

@@ -1,4 +1,4 @@
-"""Fixed-precision integer codes and bit-level helpers.
+"""Fixed-precision integer codes, their decoding tables, and typed JSON fields.
 
 A stored code is a raw unsigned n-bit pattern (``0 <= bits < 2**width``);
 whether it denotes an unsigned or a two's-complement value is a decode-time
@@ -7,8 +7,6 @@ package (flip masks, table keys, per-slice masks).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,30 +40,33 @@ def value_range(width: int, mode: str) -> tuple[int, int]:
     return -(1 << (width - 1)), (1 << (width - 1)) - 1
 
 
-@dataclass(frozen=True)
-class CodeWord:
-    """An n-bit stored pattern."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self) -> None:
-        check_width(self.width)
-        if not 0 <= self.bits < (1 << self.width):
-            raise OutOfRangeError(
-                f"pattern {self.bits:#x} does not fit in {self.width} bits"
-            )
+_JSON_TYPE_NAMES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+    type(None): "null",
+}
 
 
-def json_fields(obj, what: str, *keys: str) -> tuple:
-    """The values of ``keys`` in a parsed JSON object, in order; a missing
-    key is a ValueError that names it."""
+def json_fields(obj, what: str, **types: type) -> tuple:
+    """The values of the keys named in ``types`` in a parsed JSON object, in
+    order.  A missing key, or a value not of the JSON type given for its key
+    (``true``/``false`` are not integers), is a ValueError that names it."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object")
-    for key in keys:
+    for key, kind in types.items():
         if key not in obj:
             raise ValueError(f"{what} is missing key {key!r}")
-    return tuple(obj[key] for key in keys)
+        value = obj[key]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ValueError(
+                f"{what} key {key!r} must be {_JSON_TYPE_NAMES[kind]}, "
+                f"not {_JSON_TYPE_NAMES.get(type(value), type(value).__name__)}"
+            )
+    return tuple(obj[key] for key in types)
 
 
 def decode(bits: int, width: int, mode: str) -> int:
@@ -77,35 +78,6 @@ def decode(bits: int, width: int, mode: str) -> int:
     if bits & (1 << (width - 1)):
         return bits - (1 << width)
     return bits
-
-
-def encode(value: int, width: int, mode: str) -> int:
-    """Inverse of :func:`decode`; raises OutOfRangeError outside the range."""
-    lo, hi = value_range(width, mode)
-    if not lo <= value <= hi:
-        raise OutOfRangeError(
-            f"value {value} not representable as {width}-bit {mode}"
-        )
-    return value & ((1 << width) - 1)
-
-
-def clamp_to_range(value: int, width: int, mode: str) -> int:
-    """Nearest representable integer to ``value`` for (width, mode)."""
-    lo, hi = value_range(width, mode)
-    return min(max(value, lo), hi)
-
-
-def bit_slice(bits: int, k: int) -> int:
-    """Bit k (LSB = index 0) of the stored pattern."""
-    return (bits >> k) & 1
-
-
-def xor_mask(bits: int, j: int, width: int) -> int:
-    """Bitwise XOR with an n-bit flip mask; involutive."""
-    check_width(width)
-    if not 0 <= j < (1 << width):
-        raise OutOfRangeError(f"flip mask {j:#x} does not fit in {width} bits")
-    return bits ^ j
 
 
 def decode_table(width: int, mode: str) -> np.ndarray:
@@ -124,7 +96,8 @@ def decode_array(codes: np.ndarray, width: int, mode: str) -> np.ndarray:
 
 
 def encode_array(values: np.ndarray, width: int, mode: str) -> np.ndarray:
-    """Vectorized :func:`encode`; raises if any value is out of range."""
+    """Raw patterns of decoded values, inverse of :func:`decode_array`;
+    raises OutOfRangeError if any value is not representable."""
     lo, hi = value_range(width, mode)
     values = np.asarray(values, dtype=np.int64)
     if values.size and (values.min() < lo or values.max() > hi):
@@ -135,6 +108,6 @@ def encode_array(values: np.ndarray, width: int, mode: str) -> np.ndarray:
 
 
 def clamp_array(values: np.ndarray, width: int, mode: str) -> np.ndarray:
-    """Vectorized :func:`clamp_to_range`."""
+    """Nearest representable integer to each value for (width, mode)."""
     lo, hi = value_range(width, mode)
     return np.clip(np.asarray(values, dtype=np.int64), lo, hi)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED
+from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, json_fields
 from .quant import QuantizedTensor, quantize
 
 
@@ -64,17 +64,22 @@ class ToyModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ToyModel":
-        layers = [
-            DenseLayer(
-                weights=np.asarray(spec["weights"], dtype=np.float64).reshape(
-                    spec["rows"], spec["cols"]
-                ),
-                bias=np.asarray(spec["bias"], dtype=np.float64),
-                relu=bool(spec["relu"]),
+        specs, input_dim, classes = json_fields(
+            obj, "model", layers=list, input_dim=int, classes=int
+        )
+        layers = []
+        for spec in specs:
+            rows, cols, weights, bias, relu = json_fields(
+                spec, "model layer", rows=int, cols=int, weights=list, bias=list, relu=bool
             )
-            for spec in obj["layers"]
-        ]
-        return cls(layers=layers, input_dim=obj["input_dim"], classes=obj["classes"])
+            layers.append(
+                DenseLayer(
+                    weights=np.asarray(weights, dtype=np.float64).reshape(rows, cols),
+                    bias=np.asarray(bias, dtype=np.float64),
+                    relu=relu,
+                )
+            )
+        return cls(layers=layers, input_dim=input_dim, classes=classes)
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:
         obj = self.to_json_dict()

@@ -152,6 +152,12 @@ def test_mvm_end_to_end(tmp_path):
                  "--out", str(out0)]) == 0
     assert json.loads(out0.read_text()) == [0]
 
+    # the layout and activation files fix the configuration: no override flag
+    with pytest.raises(SystemExit) as exc:
+        main(["mvm", "--layout", str(layout), "--activations", str(acts),
+              "--config", str(acts), "--out", str(out)])
+    assert exc.value.code == 2
+
 
 def test_train_and_eval_round_trip(tmp_path):
     model_path = tmp_path / "model.json"
@@ -192,11 +198,30 @@ def test_map_refuses_lut_cache_of_another_width(tmp_path, capsys):
     assert not (tmp_path / "o.json").exists()
 
 
+MISSING = object()
+BAD_FILES = [
+    ("mask", "bits", MISSING),
+    ("weights", "values", MISSING),
+    ("layout", "b_flip", MISSING),
+    ("activations", "m", MISSING),
+    ("model", "classes", MISSING),
+    ("mask", "bits", "4"),
+    ("weights", "rows", 2.0),
+    ("layout", "bits", "4"),
+    ("activations", "m", True),
+    ("model", "classes", "4"),
+]
+
+
 @pytest.mark.parametrize(
-    "kind, key",
-    [("mask", "bits"), ("weights", "values"), ("layout", "b_flip"), ("activations", "m")],
+    "kind, key, value",
+    BAD_FILES,
+    ids=[f"{kind}-{key}" + ("" if value is MISSING else f"={json.dumps(value)}")
+         for kind, key, value in BAD_FILES],
 )
-def test_missing_json_key_is_runtime_error(tmp_path, capsys, kind, key):
+def test_missing_json_key_is_runtime_error(tmp_path, capsys, kind, key, value):
+    """A key missing from an input file, or holding a value of the wrong
+    JSON type, is a one-line error naming the key."""
     weights = tmp_path / "w.json"
     write_weights(weights, [[3], [-2]])
     mask_path = tmp_path / "m.json"
@@ -209,15 +234,24 @@ def test_missing_json_key_is_runtime_error(tmp_path, capsys, kind, key):
     assert main(map_argv) == 0
     acts = tmp_path / "a.json"
     acts.write_text(json.dumps({"m": 4, "mode": "unsigned", "values": [1, 2]}))
+    model = tmp_path / "model.json"
+    if kind == "model":
+        assert main(["train-toy", "--out", str(model)]) == 0
 
     path = {"mask": mask_path, "weights": weights, "layout": layout,
-            "activations": acts}[kind]
+            "activations": acts, "model": model}[kind]
     obj = json.loads(path.read_text())
-    del obj[key]
+    if value is MISSING:
+        del obj[key]
+    else:
+        obj[key] = value
     path.write_text(json.dumps(obj))
     capsys.readouterr()
     if kind in ("mask", "weights"):
         code = main(map_argv)
+    elif kind == "model":
+        code = main(["eval", "--model", str(model), "--rates", "0", "--trials", "1",
+                     "--schemes", "naive", "--out", str(tmp_path / "r.json")])
     else:
         code = main(["mvm", "--layout", str(layout), "--activations", str(acts),
                      "--out", str(tmp_path / "y.json")])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,16 @@ def test_activation_vector_validation():
     assert a.codes().tolist() == [0b1000, 0b0111]
     with pytest.raises(Exception):
         ActivationVector(np.array([16]), bits=4, mode=UNSIGNED)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bits=st.integers(1, 8), mode=st.sampled_from([UNSIGNED, TWOS]), data=st.data())
+def test_activation_json_round_trip(bits, mode, data):
+    lo, hi = value_range(bits, mode)
+    values = data.draw(st.lists(st.integers(lo, hi), max_size=12))
+    act = ActivationVector(np.array(values, dtype=np.int64), bits, mode)
+    loaded = ActivationVector.from_json_dict(json.loads(json.dumps(act.to_json_dict())))
+    assert (loaded.bits, loaded.mode, loaded.values.tolist()) == (bits, mode, values)
 
 
 def fault_free_mask(rows, cols, bits):

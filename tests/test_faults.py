@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle import all_fault_cells, cell_to_packed, legal_ref
-from safmap import faults
+from oracle import all_fault_cells, cell_to_packed, flip_cell, legal_ref
 from safmap.faults import (
     FAULT_FREE as FF,
     SA0,
@@ -13,46 +14,54 @@ from safmap.faults import (
     InvalidRateError,
     SafMask,
     count_unmasked,
-    force_write,
+    force_write_array,
     gen_saf_mask,
-    is_legal,
-    transform_mask_for_flip,
+    transform_packed_for_flip,
 )
+
+
+def packed(cell) -> tuple[np.ndarray, np.ndarray]:
+    """(sa0, sa1) of one per-bit fault vector, as one-element uint16 arrays."""
+    return tuple(np.array([m], dtype=np.uint16) for m in cell_to_packed(cell))
 
 
 def test_is_legal_examples():
     # stored 8 is compatible with SA0 at bit 2; stored 7 is not
-    assert is_legal(0b1000, [FF, FF, SA0, FF])
-    assert not is_legal(0b0111, [FF, FF, SA0, FF])
-    assert is_legal(0b1010, [FF, FF, FF, FF])
+    mask = SafMask(np.array([FF, FF, SA0, FF], dtype=np.int8).reshape(1, 1, 4))
+    assert count_unmasked(np.array([[0b1000]]), mask) == 0
+    assert count_unmasked(np.array([[0b0111]]), mask) != 0
+    clean = SafMask(np.zeros((1, 1, 4), dtype=np.int8))
+    assert count_unmasked(np.array([[0b1010]]), clean) == 0
 
 
 def test_force_write_examples():
-    assert force_write(0b0111, [FF, FF, SA0, FF]) == 0b0011
-    assert force_write(0b1010, [FF, FF, FF, FF]) == 0b1010
-    assert force_write(0b1010, [SA1, FF, FF, FF]) == 0b1011
+    assert force_write_array([0b0111], *packed([FF, FF, SA0, FF])).tolist() == [0b0011]
+    assert force_write_array([0b1010], *packed([FF, FF, FF, FF])).tolist() == [0b1010]
+    assert force_write_array([0b1010], *packed([SA1, FF, FF, FF])).tolist() == [0b1011]
 
 
 def test_transform_mask_examples():
-    assert transform_mask_for_flip([FF, FF, FF, SA1], 0b1000).tolist() == [
-        FF,
-        FF,
-        FF,
-        SA0,
-    ]
+    def flipped(cell, j):
+        return tuple(int(m[0]) for m in transform_packed_for_flip(*packed(cell), j))
+
+    assert flipped([FF, FF, FF, SA1], 0b1000) == cell_to_packed([FF, FF, FF, SA0])
     cell = [SA0, SA1, FF, FF]
-    assert transform_mask_for_flip(cell, 0).tolist() == cell
-    assert transform_mask_for_flip(cell, 0b0011).tolist() == [SA1, SA0, FF, FF]
+    assert flipped(cell, 0) == cell_to_packed(cell)
+    assert flipped(cell, 0b0011) == cell_to_packed([SA1, SA0, FF, FF])
+    for _, cell in all_fault_cells(4):
+        for j in range(16):
+            assert flipped(cell, j) == cell_to_packed(flip_cell(cell, j))
 
 
 def test_masked_faults_are_benign_exhaustive_n4():
-    mask_shape = (1, 1, 4)
     for _, cell in all_fault_cells(4):
+        mask = SafMask(np.array(cell, dtype=np.int8).reshape(1, 1, 4))
+        sa0, sa1 = mask.packed()
         for code in range(16):
-            mask = SafMask(np.array(cell, dtype=np.int8).reshape(mask_shape))
             unmasked = count_unmasked(np.array([[code]]), mask)
-            written = force_write(code, cell)
-            assert is_legal(written, cell)
+            assert (unmasked == 0) == legal_ref(code, cell)
+            written = int(force_write_array(np.array([[code]]), sa0, sa1)[0, 0])
+            assert legal_ref(written, cell)
             if unmasked == 0:
                 assert written == code
             else:
@@ -61,14 +70,15 @@ def test_masked_faults_are_benign_exhaustive_n4():
 
 def test_transform_is_involutive_and_preserves_fault_count():
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        width = int(rng.integers(1, 9))
-        cell = rng.choice([SA0, FF, SA1], size=width)
-        j = int(rng.integers(0, 1 << width))
-        twice = transform_mask_for_flip(transform_mask_for_flip(cell, j), j)
-        assert twice.tolist() == cell.tolist()
-        once = transform_mask_for_flip(cell, j)
-        assert (once != FF).sum() == (cell != FF).sum()
+    for width in range(1, 9):
+        sa0, sa1 = SafMask(rng.choice([SA0, FF, SA1], size=(6, 5, width))).packed()
+        for j in range(1 << width):
+            once = transform_packed_for_flip(sa0, sa1, j)
+            twice = transform_packed_for_flip(*once, j)
+            assert np.array_equal(twice[0], sa0) and np.array_equal(twice[1], sa1)
+            # the same bits stay stuck, each at exactly one value
+            assert np.array_equal(once[0] | once[1], sa0 | sa1)
+            assert not (once[0] & once[1]).any()
 
 
 def test_count_unmasked_examples():
@@ -148,3 +158,17 @@ def test_json_round_trip(tmp_path):
     obj = json.loads(path.read_text())
     assert obj["rows"] == 6 and obj["cols"] == 4 and obj["bits"] == 8
     assert set(np.unique(obj["data"])) <= {-1, 0, 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    bits=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_json_round_trip_any_mask(rows, cols, bits, seed):
+    cells = np.random.default_rng(seed).choice([SA0, FF, SA1], size=(rows, cols, bits))
+    mask = SafMask(cells)
+    loaded = SafMask.from_json_dict(json.loads(json.dumps(mask.to_json_dict())))
+    assert np.array_equal(loaded.cells, mask.cells)

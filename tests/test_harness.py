@@ -46,7 +46,7 @@ def test_fault_free_layouts_reproduce_reference_inference(model):
         build_layout(SCHEME_CVM, lw, mask, SMALL.row_len)
         for lw, mask in zip(layers, masks)
     ]
-    got = run_inference(qmodel, layouts, x_test, SMALL.row_len)
+    got = run_inference(qmodel, layouts, x_test)
     assert np.array_equal(got, quantized_predict(qmodel, x_test))
 
 

@@ -9,8 +9,6 @@ from safmap.lut import (
     LutMismatchError,
     UnsupportedWidthError,
     build_cvm_lut,
-    cells_from_fault_digits,
-    cvm_lookup,
     fault_digits_from_packed,
     load_or_build,
     packed_from_fault_digits,
@@ -26,19 +24,15 @@ def test_key_digit_round_trip():
         sa0, sa1 = cell_to_packed(cell)
         digits = int(fault_digits_from_packed(np.array([sa0]), np.array([sa1]), 4)[0])
         assert digits == pattern
-        assert cells_from_fault_digits(digits, 4).tolist() == cell
         assert [int(m) for m in packed_from_fault_digits(digits, 4)] == [sa0, sa1]
 
 
 def test_n1_table_has_six_entries():
     lut = build_cvm_lut(1, UNSIGNED)
     assert lut.entries.shape == (6,)
-    # target 0: fault-free -> 0, SA1 -> 1, SA0 -> 0
-    assert cvm_lookup(lut, 0, [FF]) == 0
-    assert cvm_lookup(lut, 0, [SA1]) == 1
-    assert cvm_lookup(lut, 0, [SA0]) == 0
-    # target 1: SA0 forces 0
-    assert cvm_lookup(lut, 1, [SA0]) == 0
+    # target 0: fault-free -> 0, SA1 -> 1, SA0 -> 0; target 1: SA0 forces 0
+    sa0, sa1 = np.array([cell_to_packed(c) for c in ([FF], [SA1], [SA0], [SA0])]).T
+    assert lut.map_codes(np.array([0, 0, 0, 1]), sa0, sa1).tolist() == [0, 1, 0, 0]
 
 
 @pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
@@ -55,7 +49,8 @@ def test_clamped_out_of_range_target():
     lut = build_cvm_lut(4, TWOS)
     # +8 is unrepresentable in 4-bit two's complement; clamp to +7, then the
     # stuck-at-1 sign bit pushes the closest legal value to -1 (0b1111).
-    assert cvm_lookup(lut, 8, [FF, FF, FF, SA1]) == 0b1111
+    sa0, sa1 = cell_to_packed([FF, FF, FF, SA1])
+    assert lut.map_codes(np.array([8]), [sa0], [sa1]).tolist() == [0b1111]
 
 
 def test_serialization_round_trip(tmp_path):

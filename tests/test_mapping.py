@@ -303,7 +303,6 @@ def test_signflip_effective_value_can_exceed_code_range():
 def test_chunk_geometry():
     geom = ChunkGeometry(rows=130, row_len=64)
     assert geom.num_chunks == 3
-    assert geom.last_chunk_rows == 2
     assert geom.slices()[-1] == slice(128, 130)
     assert ChunkGeometry(rows=64, row_len=64).num_chunks == 1
 

@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safmap.toymodel import (
+    DenseLayer,
     ToyModel,
     make_blob_dataset,
     quantize_model,
@@ -69,3 +74,25 @@ def test_model_json_round_trip(model, tmp_path):
         assert la.relu == lb.relu
     x = make_blob_dataset(seed=0)[2]
     assert np.array_equal(loaded.predict(x), model.predict(x))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    relus=st.lists(st.booleans(), min_size=3, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_model_json_round_trip_any_shape(dims, relus, seed):
+    rng = np.random.default_rng(seed)
+    layers = [
+        DenseLayer(rng.normal(size=(fan_in, fan_out)), rng.normal(size=fan_out), relu)
+        for fan_in, fan_out, relu in zip(dims, dims[1:], relus)
+    ]
+    model = ToyModel(layers=layers, input_dim=dims[0], classes=dims[-1])
+    loaded = ToyModel.from_json_dict(json.loads(json.dumps(model.to_json_dict())))
+    assert (loaded.input_dim, loaded.classes) == (model.input_dim, model.classes)
+    assert len(loaded.layers) == len(layers)
+    for la, lb in zip(loaded.layers, layers):
+        assert np.array_equal(la.weights, lb.weights)
+        assert np.array_equal(la.bias, lb.bias)
+        assert la.relu is lb.relu

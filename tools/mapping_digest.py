@@ -3,7 +3,8 @@
 Run it once per source tree and compare the printed lines; equal digests
 mean bit-identical ``stored``, ``col_flip``, ``b_flip``, effective values
 and mapping error for every scheme, with the table and with the direct
-enumeration engine:
+enumeration engine, bit-identical crossbar simulator outputs, and an
+identical Monte Carlo sweep report:
 
     PYTHONPATH=src python tools/mapping_digest.py > new.txt
     PYTHONPATH=<other checkout>/src python tools/mapping_digest.py > old.txt
@@ -12,19 +13,27 @@ enumeration engine:
 Cases: 240 random small layers (1-5 bits, both decoding modes, random
 shape, row length and fault rate) and one 512x512 8-bit layer at 5%
 faults.  The large case runs the direct bit-flip search (256 full
-enumeration passes), so a run takes about 40 s on one CPU.
+enumeration passes), so a run takes about 40 s on one CPU.  The simulator
+line runs ``mvm_simulate_batch`` on every small layout with seeded
+activation batches in both decoding modes; the sweep line hashes one small
+``run_sweep`` report of the seed-0 toy model, without the wall-clock
+``map_seconds`` column.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
+from safmap.crossbar import CrossbarConfig, mvm_simulate_batch
 from safmap.faults import sample_saf_mask
+from safmap.harness import SweepSpec, run_sweep
 from safmap.lut import build_cvm_lut
 from safmap.mapping import SCHEMES, LayerWeights, build_layout, mapping_error
 from safmap.numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED
+from safmap.toymodel import train_toy
 
 
 def layout_arrays(layer, mask, row_len, table):
@@ -78,10 +87,39 @@ def large_case():
     yield LayerWeights(codes, 8, MODE_TWOS_COMPLEMENT), mask, 64
 
 
+def mvm_digest(cases) -> str:
+    """Simulator outputs of every scheme's layout for seeded activations."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(4048)
+    for layer, mask, row_len in cases:
+        for scheme in SCHEMES:
+            if scheme == "signflip" and layer.mode == MODE_UNSIGNED:
+                continue
+            layout = build_layout(scheme, layer, mask, row_len)
+            for act_mode in (MODE_UNSIGNED, MODE_TWOS_COMPLEMENT):
+                act_bits = int(rng.integers(1, 9))
+                act_codes = rng.integers(0, 1 << act_bits, size=(3, layer.rows))
+                cfg = CrossbarConfig(row_len, layer.bits, act_bits, layer.mode, act_mode)
+                out = mvm_simulate_batch(layout, act_codes, cfg)
+                h.update(np.ascontiguousarray(out, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def sweep_digest() -> str:
+    """One small paired sweep report, less its wall-clock column."""
+    spec = SweepSpec(rates=(0.0, 0.03), trials=2, base_seed=7)
+    report = run_sweep(train_toy(seed=0), spec).to_json_dict()
+    for row in report["results"]:
+        del row["map_seconds"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def main() -> None:
     for name, cases in (("small", small_cases), ("512x512", large_case)):
         for engine in ("lut", "direct"):
             print(f"{name:8s} {engine:6s} {digest(cases(), engine)}")
+    print(f"{'small':8s} {'mvm':6s} {mvm_digest(small_cases())}")
+    print(f"{'sweep':8s} {'report':6s} {sweep_digest()}")
 
 
 if __name__ == "__main__":
