@@ -31,12 +31,8 @@ from .mapping import (
     MappedLayout,
     SCHEMES,
     UnsignedLayerError,
-    bit_flip_map,
     build_layout,
-    cvm_map,
     mapping_error,
-    naive_map,
-    sign_flip_map,
 )
 from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, OutOfRangeError, decode
 from .quant import NonFiniteError, QuantizedTensor, dequantize, quantize

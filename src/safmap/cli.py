@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, harness, lut as lut_mod, mapping, numfmt
 from .crossbar import ActivationVector, CrossbarConfig, mvm_simulate
 from .faults import FaultInjectionSpec, SafMask, gen_saf_mask
@@ -58,7 +56,9 @@ def _load_weights(path: str, bits: int, mode: str) -> LayerWeights:
     rows, cols, values = numfmt.json_fields(
         json.loads(Path(path).read_text()), "weights", rows=int, cols=int, values=list
     )
-    values = np.asarray(values, dtype=np.int64).reshape(rows, cols)
+    values = numfmt.json_int_array(
+        values, "weights", "values", (rows, cols), *numfmt.value_range(bits, mode)
+    )
     return LayerWeights.from_values(values, bits, mode)
 
 

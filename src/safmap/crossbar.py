@@ -85,7 +85,11 @@ class ActivationVector:
         values, bits, mode = json_fields(
             obj, "activations", values=list, m=int, mode=str
         )
-        return cls(values=np.asarray(values, dtype=np.int64), bits=bits, mode=mode)
+        lo, hi = numfmt.value_range(bits, mode)
+        values = numfmt.json_int_array(
+            values, "activations", "values", (len(values),), lo, hi
+        )
+        return cls(values=values, bits=bits, mode=mode)
 
     @classmethod
     def load(cls, path: str | Path) -> "ActivationVector":

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numfmt import check_width, json_fields
+from .numfmt import check_width, json_fields, json_int_array
 
 SA0 = -1
 FAULT_FREE = 0
@@ -58,7 +58,7 @@ class SafMask:
         if self.cells.ndim != 3:
             raise ValueError("mask must have shape (rows, cols, bits)")
         check_width(self.cells.shape[2])
-        if not np.isin(self.cells, (-1, 0, 1)).all():
+        if self.cells.size and (self.cells.min() < SA0 or self.cells.max() > SA1):
             raise ValueError("mask entries must be -1, 0 or +1")
 
     @property
@@ -96,10 +96,10 @@ class SafMask:
         *shape, data = json_fields(
             obj, "fault mask", rows=int, cols=int, bits=int, data=list
         )
-        data = np.asarray(data, dtype=np.int8)
-        if data.size != shape[0] * shape[1] * shape[2]:
-            raise ValueError("mask data length does not match rows*cols*bits")
-        return cls(cells=data.reshape(shape))
+        cells = json_int_array(
+            data, "fault mask", "data", tuple(shape), SA0, SA1, np.int8
+        )
+        return cls(cells=cells)
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:
         obj = self.to_json_dict()

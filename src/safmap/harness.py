@@ -16,7 +16,7 @@ import json
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,29 +25,17 @@ from .crossbar import CrossbarConfig, mvm_simulate_batch
 from .faults import SafMask, count_unmasked, mask_rng, sample_saf_mask
 from .lut import CvmLut, build_cvm_lut
 from .mapping import (
+    SCHEME_BITFLIP,
+    SCHEME_SIGNFLIP,
+    SCHEMES,
     LayerWeights,
     MappedLayout,
-    SCHEMES,
     build_layout,
     mapping_error,
-    sign_flip_map,
-    bit_flip_map,
 )
 from .numfmt import MODE_TWOS_COMPLEMENT, encode_array
 from .quant import quantize
 from .toymodel import QuantizedModel, ToyModel, make_blob_dataset, quantize_model
-
-REPORT_COLUMNS = (
-    "rate",
-    "scheme",
-    "trials",
-    "mean_acc",
-    "std_acc",
-    "mean_abs_weight_err",
-    "mean_unmasked_faults",
-    "map_seconds",
-)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -83,6 +71,9 @@ class ResultRow:
     mean_abs_weight_err: float
     mean_unmasked_faults: float
     map_seconds: float
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass
@@ -267,23 +258,22 @@ def bench_lut(
     if lut is None:
         lut = build_cvm_lut(bits, MODE_TWOS_COMPLEMENT)
 
-    runners = {
-        "signflip": lambda l: sign_flip_map(layer, mask, row_len, lut=l),
-        "bitflip": lambda l: bit_flip_map(layer, mask, row_len, lut=l),
-    }
     out = {}
-    for scheme, run in runners.items():
+    for scheme in (SCHEME_SIGNFLIP, SCHEME_BITFLIP):
         direct_times = []
         lut_times = []
         ref = fast = None
         for _ in range(repeats):
             start = time.perf_counter()
-            ref = run(None)
+            ref = build_layout(scheme, layer, mask, row_len)
             direct_times.append(time.perf_counter() - start)
             start = time.perf_counter()
-            fast = run(lut)
+            fast = build_layout(scheme, layer, mask, row_len, lut=lut)
             lut_times.append(time.perf_counter() - start)
-        if not all(np.array_equal(a, b) for a, b in zip(ref, fast)):
+        if not all(
+            np.array_equal(getattr(ref, name), getattr(fast, name))
+            for name in ("stored", "col_flip", "b_flip")
+        ):
             raise AssertionError(f"{scheme}: LUT and direct layouts differ")
         direct = statistics.median(direct_times)
         fast_t = statistics.median(lut_times)

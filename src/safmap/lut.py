@@ -45,23 +45,12 @@ DIGIT_SA1 = 1
 DIGIT_SA0 = 2
 
 
-class UnsupportedWidthError(ValueError):
-    """Table requested for a width the 6**n layout does not support."""
-
-
 class LutFormatError(ValueError):
     """Malformed or truncated table file."""
 
 
 class LutMismatchError(ValueError):
     """Cached table file built for another width or mode."""
-
-
-def _check_width(bits: int) -> None:
-    try:
-        check_width(bits)
-    except Exception as exc:
-        raise UnsupportedWidthError(str(exc)) from exc
 
 
 @functools.cache
@@ -104,7 +93,7 @@ class CvmLut:
     entries: np.ndarray  # uint8, length 6**bits
 
     def __post_init__(self) -> None:
-        _check_width(self.bits)
+        check_width(self.bits)
         check_mode(self.mode)
         self.entries = np.asarray(self.entries, dtype=np.uint8)
         if self.entries.shape != (6**self.bits,):
@@ -130,7 +119,7 @@ class CvmLut:
 
 def build_cvm_lut(bits: int, mode: str) -> CvmLut:
     """Run closest-value mapping over all 6**bits keys."""
-    _check_width(bits)
+    check_width(bits)
     check_mode(mode)
     n3 = 3**bits
     dec = decode_table(bits, mode).astype(np.int64)
@@ -159,7 +148,7 @@ def read_lut(path: str | Path) -> CvmLut:
     if raw[5] not in _BYTE_MODES:
         raise LutFormatError(f"{path}: unknown mode byte {raw[5]}")
     bits = raw[6]
-    _check_width(bits)
+    check_width(bits)
     body = np.frombuffer(raw[7:], dtype=np.uint8)
     if body.size != 6**bits:
         raise LutFormatError(

@@ -2,7 +2,9 @@
 
 All schemes operate on a layer's M x K matrix of n-bit weight codes and a
 stuck-at mask of the same shape, chunked into ``row_len``-row blocks that
-each correspond to one physical memory sub-array.
+each correspond to one physical memory sub-array.  :func:`build_layout` is
+the one entry point; every scheme but naive picks one correction word
+``sign << bits | j`` per (chunk, column) and then maps once.
 
 Error is always measured between DECODED values (signed integers for
 two's-complement layers), which is the domain that matches dot-product
@@ -30,6 +32,7 @@ from .numfmt import (
     decode_array,
     decode_table,
     json_fields,
+    json_int_array,
     value_range,
 )
 
@@ -188,121 +191,8 @@ def _solver(layer: LayerWeights, lut):
 
 
 # ---------------------------------------------------------------------------
-# Mapping schemes.
-# ---------------------------------------------------------------------------
-
-
-def _check_shapes(layer: LayerWeights, mask: SafMask) -> None:
-    if (mask.rows, mask.cols, mask.bits) != (layer.rows, layer.cols, layer.bits):
-        raise ValueError(
-            f"mask shape {(mask.rows, mask.cols, mask.bits)} does not match "
-            f"layer shape {(layer.rows, layer.cols, layer.bits)}"
-        )
-
-
-def naive_map(layer: LayerWeights, mask: SafMask) -> np.ndarray:
-    """Force-write every weight: stuck bits override the target bits."""
-    _check_shapes(layer, mask)
-    sa0, sa1 = mask.packed()
-    return force_write_array(layer.codes, sa0, sa1)
-
-
-def cvm_map(layer: LayerWeights, mask: SafMask, lut=None) -> np.ndarray:
-    """Per-weight closest legal code, ties to the smallest pattern."""
-    _check_shapes(layer, mask)
-    sa0, sa1 = mask.packed()
-    return _solver(layer, lut)(layer.values(), sa0, sa1)
-
-
-def _pick_per_chunk(candidates, geom: ChunkGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Per (chunk, column), the candidate with the least summed error.
-
-    ``candidates`` yields (stored codes, per-weight error) pairs of shape
-    (M, K).  A candidate replaces the running best only when strictly
-    better, so the earliest one wins ties.  Returns the stored codes of the
-    winners and the (num_chunks, K) index of the winning candidate.
-    """
-    best_err = None
-    for i, (stored, err) in enumerate(candidates):
-        chunk_err = geom.chunk_sums(err)
-        if best_err is None:
-            best_stored, best_err = stored.copy(), chunk_err
-            best_idx = np.zeros(chunk_err.shape, dtype=np.uint16)
-            continue
-        better = chunk_err < best_err
-        if better.any():
-            best_err[better] = chunk_err[better]
-            best_idx[better] = i
-            np.copyto(best_stored, stored, where=geom.per_row(better))
-    return best_stored, best_idx
-
-
-def sign_flip_map(
-    layer: LayerWeights, mask: SafMask, row_len: int, lut=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-chunk, per-column choice between a weight column and its negation.
-
-    Returns (stored codes, col_flip) where ``col_flip[c, k] = 1`` means the
-    chunk stores the closest-value mapping of the negated targets and the
-    accumulated dot product must be negated digitally.
-    """
-    _check_shapes(layer, mask)
-    if layer.mode != MODE_TWOS_COMPLEMENT:
-        raise UnsignedLayerError("sign-flip requires two's-complement weights")
-    solve = _solver(layer, lut)
-    sa0, sa1 = mask.packed()
-    targets = layer.values()
-
-    def candidates():
-        for signed in (targets, -targets):
-            codes = solve(signed, sa0, sa1)
-            yield codes, np.abs(decode_array(codes, layer.bits, layer.mode) - signed)
-
-    stored, flip = _pick_per_chunk(candidates(), ChunkGeometry(layer.rows, row_len))
-    return stored, flip.astype(np.uint8)
-
-
-def bit_flip_map(
-    layer: LayerWeights, mask: SafMask, row_len: int, lut=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-chunk, per-column choice of a flip mask over individual bit slices.
-
-    For each candidate mask j the faults are transformed into the effective
-    domain (a stuck bit in a flipped slice acts with inverted polarity),
-    closest-value mapping runs against the transformed mask, and the chunk
-    error of the effective codes against the targets is accumulated.  The
-    smallest j wins ties, so j = 0 reproduces plain closest-value mapping.
-    Stored codes are the winning effective codes XOR j.
-
-    Returns (stored codes, b_flip) with ``b_flip[k, c, col]`` the k-th bit
-    (LSB first) of the chosen mask for chunk c / weight column col.
-    """
-    _check_shapes(layer, mask)
-    solve = _solver(layer, lut)
-    sa0, sa1 = mask.packed()
-    targets = layer.values()
-
-    def candidates():
-        for j in range(1 << layer.bits):
-            eff = solve(targets, *transform_packed_for_flip(sa0, sa1, j))
-            yield eff ^ j, np.abs(decode_array(eff, layer.bits, layer.mode) - targets)
-
-    stored, best_j = _pick_per_chunk(candidates(), ChunkGeometry(layer.rows, row_len))
-    k = np.arange(layer.bits, dtype=np.uint16)
-    b_flip = ((best_j[None, :, :] >> k[:, None, None]) & 1).astype(np.uint8)
-    return stored, b_flip
-
-
-# ---------------------------------------------------------------------------
 # Mapped layouts.
 # ---------------------------------------------------------------------------
-
-
-def _int_array(values, name: str) -> np.ndarray:
-    array = np.asarray(values)
-    if array.size and array.dtype.kind not in "biu":
-        raise ValueError(f"{name} must hold integers, got {array.dtype}")
-    return array
 
 
 @dataclass
@@ -322,7 +212,7 @@ class MappedLayout:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         numfmt.check_width(self.bits)
         numfmt.check_mode(self.mode)
-        stored = _int_array(self.stored, "stored")
+        stored = numfmt.int_array(self.stored, "stored")
         if stored.ndim != 2:
             raise ValueError("stored codes must be an M x K matrix")
         if stored.size and (stored.min() < 0 or stored.max() >= 1 << self.bits):
@@ -335,7 +225,7 @@ class MappedLayout:
             ("col_flip", (chunks, self.cols), SCHEME_SIGNFLIP),
             ("b_flip", (self.bits, chunks, self.cols), SCHEME_BITFLIP),
         ):
-            flips = _int_array(getattr(self, name), name)
+            flips = numfmt.int_array(getattr(self, name), name)
             if flips.shape != shape:
                 raise ValueError(f"{name} has shape {flips.shape}, expected {shape}")
             if flips.size and (flips.min() < 0 or flips.max() > 1):
@@ -396,15 +286,22 @@ class MappedLayout:
             scheme=str, bits=int, mode=str, row_len=int, rows=int, cols=int,
             stored=list, col_flip=list, b_flip=list,
         )
+        numfmt.check_width(bits)
         chunks = ChunkGeometry(rows, row_len).num_chunks
         return cls(
             scheme=scheme,
             bits=bits,
             mode=mode,
             row_len=row_len,
-            stored=np.asarray(stored).reshape(rows, cols),
-            col_flip=np.asarray(col_flip).reshape(chunks, cols),
-            b_flip=np.asarray(b_flip).reshape(bits, chunks, cols),
+            stored=json_int_array(
+                stored, "layout", "stored", (rows, cols), 0, (1 << bits) - 1, np.uint16
+            ),
+            col_flip=json_int_array(
+                col_flip, "layout", "col_flip", (chunks, cols), 0, 1, np.uint8
+            ),
+            b_flip=json_int_array(
+                b_flip, "layout", "b_flip", (bits, chunks, cols), 0, 1, np.uint8
+            ),
         )
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:
@@ -418,6 +315,37 @@ class MappedLayout:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
+# ---------------------------------------------------------------------------
+# Mapping.
+# ---------------------------------------------------------------------------
+
+
+def _best_words(
+    words, signed, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, solve
+) -> np.ndarray:
+    """Per (chunk, column), the correction word with the least summed error.
+
+    Word ``sign << bits | j`` maps ``signed[sign]`` against the faults seen
+    through the flip mask j, and is scored by the chunk sum of
+    |decoded - signed target|.  A word replaces the running best only when
+    strictly better, so the earliest word wins ties.
+    """
+    dec = decode_table(layer.bits, layer.mode).astype(np.int64)
+    low = (1 << layer.bits) - 1
+    best_err = np.full((geom.num_chunks, layer.cols), np.iinfo(np.int64).max)
+    best_word = np.zeros(best_err.shape, dtype=np.uint16)
+    for word in words:
+        target = signed[word >> layer.bits]
+        eff = solve(target, *transform_packed_for_flip(sa0, sa1, word & low))
+        dist = dec.take(eff)
+        dist -= target
+        err = geom.chunk_sums(np.abs(dist, out=dist))
+        better = err < best_err
+        best_err[better] = err[better]
+        best_word[better] = word
+    return best_word
+
+
 def build_layout(
     scheme: str,
     layer: LayerWeights,
@@ -425,28 +353,53 @@ def build_layout(
     row_len: int,
     lut=None,
 ) -> MappedLayout:
-    """Run one mapping scheme and package the result."""
-    geom = ChunkGeometry(layer.rows, row_len)
-    col_flip = np.zeros((geom.num_chunks, layer.cols), dtype=np.uint8)
-    b_flip = np.zeros((layer.bits, geom.num_chunks, layer.cols), dtype=np.uint8)
-    if scheme == SCHEME_NAIVE:
-        stored = naive_map(layer, mask)
-    elif scheme == SCHEME_CVM:
-        stored = cvm_map(layer, mask, lut=lut)
-    elif scheme == SCHEME_SIGNFLIP:
-        stored, col_flip = sign_flip_map(layer, mask, row_len, lut=lut)
-    elif scheme == SCHEME_BITFLIP:
-        stored, b_flip = bit_flip_map(layer, mask, row_len, lut=lut)
-    else:
+    """Map a layer with one scheme and package the result.
+
+    Naive force-writes every weight.  The other schemes pick one correction
+    word per (chunk, column) among their candidates -- cvm only 0, sign-flip
+    0 and ``1 << bits`` (negate the column), bit-flip every slice mask j --
+    and then map each weight once: closest-value mapping of
+    ``(-1)**sign * target`` against the faults seen through j, stored XOR j.
+    """
+    if (mask.rows, mask.cols, mask.bits) != (layer.rows, layer.cols, layer.bits):
+        raise ValueError(
+            f"mask shape {(mask.rows, mask.cols, mask.bits)} does not match "
+            f"layer shape {(layer.rows, layer.cols, layer.bits)}"
+        )
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == SCHEME_SIGNFLIP and layer.mode != MODE_TWOS_COMPLEMENT:
+        raise UnsignedLayerError("sign-flip requires two's-complement weights")
+    bits = layer.bits
+    geom = ChunkGeometry(layer.rows, row_len)
+    sa0, sa1 = mask.packed()
+    word = np.zeros((geom.num_chunks, layer.cols), dtype=np.uint16)
+    if scheme == SCHEME_NAIVE:
+        stored = force_write_array(layer.codes, sa0, sa1)
+    else:
+        solve = _solver(layer, lut)
+        targets = layer.values()
+        signed = (targets, -targets)
+        words = {
+            SCHEME_CVM: (0,),
+            SCHEME_SIGNFLIP: (0, 1 << bits),
+            SCHEME_BITFLIP: range(1 << bits),
+        }[scheme]
+        if len(words) > 1:
+            word = _best_words(words, signed, sa0, sa1, geom, layer, solve)
+        row_word = geom.per_row(word)
+        j = row_word & ((1 << bits) - 1)
+        target = np.where(row_word >> bits, signed[1], signed[0])
+        stored = solve(target, *transform_packed_for_flip(sa0, sa1, j)) ^ j
+    k = np.arange(bits, dtype=np.uint16)
     return MappedLayout(
         scheme=scheme,
-        bits=layer.bits,
+        bits=bits,
         mode=layer.mode,
         row_len=row_len,
         stored=stored,
-        col_flip=col_flip,
-        b_flip=b_flip,
+        col_flip=(word >> bits).astype(np.uint8),
+        b_flip=((word[None, :, :] >> k[:, None, None]) & 1).astype(np.uint8),
     )
 
 

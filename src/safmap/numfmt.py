@@ -8,6 +8,8 @@ package (flip masks, table keys, per-slice masks).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MODE_UNSIGNED = "unsigned"
@@ -15,6 +17,8 @@ MODE_TWOS_COMPLEMENT = "twos_complement"
 MODES = (MODE_UNSIGNED, MODE_TWOS_COMPLEMENT)
 
 MAX_BITS = 8  # larger widths are rejected at configuration load
+# Elements per numpy conversion of a JSON array; bounds the int64 temporaries.
+_JSON_BLOCK = 1 << 16
 
 
 class OutOfRangeError(ValueError):
@@ -67,6 +71,51 @@ def json_fields(obj, what: str, **types: type) -> tuple:
                 f"not {_JSON_TYPE_NAMES.get(type(value), type(value).__name__)}"
             )
     return tuple(obj[key] for key in types)
+
+
+def int_array(values, what: str) -> np.ndarray:
+    """``values`` as a numpy integer array.  Anything numpy does not read as
+    integers (floats, null, ragged nesting, integers wider than 64 bits,
+    booleans alone) is a ValueError naming ``what``.  Empty is legal,
+    although numpy reads an empty list as float64."""
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        raise ValueError(f"{what} must hold integers, not ragged lists") from None
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(
+            f"{what} must hold integers of at most 64 bits, got {array.dtype}"
+        )
+    return array
+
+
+def json_int_array(
+    values: list, what: str, key: str, shape: tuple, lo: int, hi: int, dtype=np.int64
+) -> np.ndarray:
+    """A JSON array of integers in [lo, hi] as a ``dtype`` array of ``shape``.
+
+    A length other than the shape's size, an element that is not an integer
+    or one outside [lo, hi] is a ValueError naming the file kind and key.
+    The range is checked before narrowing to ``dtype``, and the list is
+    converted in blocks, so a large file never has a full int64 copy.
+    """
+    name = f"{what} key {key!r}"
+    if min(shape, default=0) < 0:
+        raise ValueError(f"{name} cannot fill negative shape {shape}")
+    size = math.prod(shape)
+    if len(values) != size:
+        raise ValueError(
+            f"{name} holds {len(values)} values, expected {size} for shape {shape}"
+        )
+    out = np.empty(size, dtype=dtype)
+    for start in range(0, size, _JSON_BLOCK):
+        block = int_array(values[start : start + _JSON_BLOCK], name)
+        if block.ndim != 1:
+            raise ValueError(f"{name} must be a flat array of integers")
+        if block.min() < lo or block.max() > hi:
+            raise ValueError(f"{name} entries must lie in [{lo}, {hi}]")
+        out[start : start + block.size] = block
+    return out.reshape(shape)
 
 
 def decode(bits: int, width: int, mode: str) -> int:

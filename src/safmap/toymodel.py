@@ -18,6 +18,17 @@ import numpy as np
 from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, json_fields
 from .quant import QuantizedTensor, quantize
 
+# The blob task and the MLP's training schedule.
+_CLASSES = 4
+_DIM = 16
+_TRAIN_POINTS = 2000
+_TEST_POINTS = 500
+_CENTER_SPREAD = 1.0
+_HIDDEN = 32
+_EPOCHS = 400
+_LEARNING_RATE = 0.05
+_ACCURACY_FLOOR = 0.95
+
 
 class TrainingDivergedError(RuntimeError):
     """Training failed to reach the clean-accuracy floor."""
@@ -94,25 +105,20 @@ class ToyModel:
 
 def make_blob_dataset(
     seed: int,
-    classes: int = 4,
-    dim: int = 16,
-    train_points: int = 2000,
-    test_points: int = 500,
-    center_spread: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Seeded Gaussian blobs; returns (x_train, y_train, x_test, y_test)."""
     rng = np.random.default_rng([seed, 0xDA7A])
-    centers = rng.normal(0.0, center_spread, size=(classes, dim))
-    total = train_points + test_points
-    labels = rng.integers(0, classes, size=total)
-    points = centers[labels] + rng.normal(0.0, 1.0, size=(total, dim))
+    centers = rng.normal(0.0, _CENTER_SPREAD, size=(_CLASSES, _DIM))
+    total = _TRAIN_POINTS + _TEST_POINTS
+    labels = rng.integers(0, _CLASSES, size=total)
+    points = centers[labels] + rng.normal(0.0, 1.0, size=(total, _DIM))
     order = rng.permutation(total)
     points, labels = points[order], labels[order]
     return (
-        points[:train_points],
-        labels[:train_points],
-        points[train_points:],
-        labels[train_points:],
+        points[:_TRAIN_POINTS],
+        labels[:_TRAIN_POINTS],
+        points[_TRAIN_POINTS:],
+        labels[_TRAIN_POINTS:],
     )
 
 
@@ -122,25 +128,19 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def train_toy(
-    seed: int = 0,
-    hidden: int = 32,
-    epochs: int = 400,
-    learning_rate: float = 0.05,
-    accuracy_floor: float = 0.95,
-) -> ToyModel:
+def train_toy(seed: int = 0) -> ToyModel:
     """Train the MLP with full-batch gradient descent; deterministic per seed."""
     x_train, y_train, x_test, y_test = make_blob_dataset(seed)
     dim, classes = x_train.shape[1], int(y_train.max()) + 1
     rng = np.random.default_rng([seed, 0x1417])
-    w1 = rng.normal(0.0, np.sqrt(2.0 / dim), size=(dim, hidden))
-    b1 = np.zeros(hidden)
-    w2 = rng.normal(0.0, np.sqrt(2.0 / hidden), size=(hidden, classes))
+    w1 = rng.normal(0.0, np.sqrt(2.0 / dim), size=(dim, _HIDDEN))
+    b1 = np.zeros(_HIDDEN)
+    w2 = rng.normal(0.0, np.sqrt(2.0 / _HIDDEN), size=(_HIDDEN, classes))
     b2 = np.zeros(classes)
 
     onehot = np.eye(classes)[y_train]
     count = x_train.shape[0]
-    for _ in range(epochs):
+    for _ in range(_EPOCHS):
         h_pre = x_train @ w1 + b1
         h = np.maximum(h_pre, 0.0)
         probs = _softmax(h @ w2 + b2)
@@ -150,10 +150,10 @@ def train_toy(
         g_h = (g_out @ w2.T) * (h_pre > 0)
         g_w1 = x_train.T @ g_h
         g_b1 = g_h.sum(axis=0)
-        w2 -= learning_rate * g_w2
-        b2 -= learning_rate * g_b2
-        w1 -= learning_rate * g_w1
-        b1 -= learning_rate * g_b1
+        w2 -= _LEARNING_RATE * g_w2
+        b2 -= _LEARNING_RATE * g_b2
+        w1 -= _LEARNING_RATE * g_w1
+        b1 -= _LEARNING_RATE * g_b1
 
     model = ToyModel(
         layers=[DenseLayer(w1, b1, relu=True), DenseLayer(w2, b2, relu=False)],
@@ -161,9 +161,9 @@ def train_toy(
         classes=classes,
     )
     accuracy = float((model.predict(x_test) == y_test).mean())
-    if accuracy < accuracy_floor:
+    if accuracy < _ACCURACY_FLOOR:
         raise TrainingDivergedError(
-            f"clean float accuracy {accuracy:.3f} below floor {accuracy_floor}"
+            f"clean float accuracy {accuracy:.3f} below floor {_ACCURACY_FLOOR}"
         )
     return model
 

@@ -210,6 +210,18 @@ BAD_FILES = [
     ("layout", "bits", "4"),
     ("activations", "m", True),
     ("model", "classes", "4"),
+    ("mask", "data", [0.5, 0, 0, 0, 0, 0, 0, 0]),
+    ("mask", "data", [300, 0, 0, 0, 0, 0, 0, 0]),
+    ("mask", "data", [255, 0, 0, 0, 0, 0, 0, 0]),
+    ("mask", "data", [None, 0, 0, 0, 0, 0, 0, 0]),
+    ("mask", "data", [0, 0, 0, 0, 0, 0, 0]),
+    ("weights", "values", [3.9, -2]),
+    ("weights", "values", [3, -2, 1]),
+    ("activations", "values", [1.7, 2]),
+    ("activations", "values", [2**70, 2]),
+    ("layout", "stored", [0, 0, 0]),
+    ("layout", "col_flip", [0, 0]),
+    ("layout", "b_flip", [0, 0, 0]),
 ]
 
 

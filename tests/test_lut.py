@@ -7,7 +7,6 @@ from safmap.lut import (
     CvmLut,
     LutFormatError,
     LutMismatchError,
-    UnsupportedWidthError,
     build_cvm_lut,
     fault_digits_from_packed,
     load_or_build,
@@ -16,7 +15,12 @@ from safmap.lut import (
     verify_lut,
     write_lut,
 )
-from safmap.numfmt import MODE_TWOS_COMPLEMENT as TWOS, MODE_UNSIGNED as UNSIGNED, decode
+from safmap.numfmt import (
+    MODE_TWOS_COMPLEMENT as TWOS,
+    MODE_UNSIGNED as UNSIGNED,
+    OutOfRangeError,
+    decode,
+)
 
 
 def test_key_digit_round_trip():
@@ -84,7 +88,7 @@ def test_read_rejects_malformed_files(tmp_path):
 
 
 def test_unsupported_width():
-    with pytest.raises(UnsupportedWidthError):
+    with pytest.raises(OutOfRangeError):
         build_cvm_lut(9, UNSIGNED)
     with pytest.raises(LutFormatError):
         CvmLut(bits=2, mode=UNSIGNED, entries=np.zeros(35, dtype=np.uint8))

@@ -23,13 +23,9 @@ from safmap.mapping import (
     SCHEME_SIGNFLIP,
     SCHEMES,
     UnsignedLayerError,
-    bit_flip_map,
     build_layout,
     cvm_codes,
-    cvm_map,
     mapping_error,
-    naive_map,
-    sign_flip_map,
 )
 from safmap.numfmt import MODE_TWOS_COMPLEMENT as TWOS, MODE_UNSIGNED as UNSIGNED
 
@@ -54,19 +50,21 @@ def column_layer(values, bits, mode) -> LayerWeights:
 def test_cvm_single_weight_example():
     layer = column_layer([7], 4, UNSIGNED)
     mask = single_weight_mask([FF, FF, SA0, FF])
-    assert cvm_map(layer, mask)[0, 0] == 0b1000  # value 8, error 1
+    stored = build_layout(SCHEME_CVM, layer, mask, 1).stored
+    assert stored[0, 0] == 0b1000  # value 8, error 1
 
 
 def test_cvm_fault_free_is_identity():
     layer = column_layer([5, -3, 7], 4, TWOS)
     mask = SafMask(np.zeros((3, 1, 4), dtype=np.int8))
-    assert np.array_equal(cvm_map(layer, mask), layer.codes)
+    assert np.array_equal(build_layout(SCHEME_CVM, layer, mask, 1).stored, layer.codes)
 
 
 def test_cvm_signed_example():
     layer = column_layer([-3], 4, TWOS)
     mask = single_weight_mask([FF, FF, FF, SA0])
-    assert cvm_map(layer, mask)[0, 0] == 0b0000  # closest legal is 0, error 3
+    stored = build_layout(SCHEME_CVM, layer, mask, 1).stored
+    assert stored[0, 0] == 0b0000  # closest legal is 0, error 3
 
 
 @pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
@@ -95,8 +93,10 @@ def test_cvm_never_worse_than_naive_per_weight():
     targets = layer.values()
     from safmap.numfmt import decode_array
 
-    cvm_err = np.abs(decode_array(cvm_map(layer, mask), 8, TWOS) - targets)
-    naive_err = np.abs(decode_array(naive_map(layer, mask), 8, TWOS) - targets)
+    cvm = build_layout(SCHEME_CVM, layer, mask, 1).stored
+    naive = build_layout(SCHEME_NAIVE, layer, mask, 1).stored
+    cvm_err = np.abs(decode_array(cvm, 8, TWOS) - targets)
+    naive_err = np.abs(decode_array(naive, 8, TWOS) - targets)
     assert (cvm_err <= naive_err).all()
 
 
@@ -108,12 +108,12 @@ def test_cvm_never_worse_than_naive_per_weight():
 def test_naive_examples():
     layer = column_layer([7], 4, UNSIGNED)
     mask = single_weight_mask([FF, FF, SA0, FF])
-    assert naive_map(layer, mask)[0, 0] == 0b0011
+    assert build_layout(SCHEME_NAIVE, layer, mask, 1).stored[0, 0] == 0b0011
     clean = SafMask(np.zeros((1, 1, 4), dtype=np.int8))
-    assert naive_map(layer, clean)[0, 0] == 0b0111
+    assert build_layout(SCHEME_NAIVE, layer, clean, 1).stored[0, 0] == 0b0111
     layer0 = column_layer([0], 4, UNSIGNED)
     mask3 = single_weight_mask([FF, FF, FF, SA1])
-    assert naive_map(layer0, mask3)[0, 0] == 0b1000
+    assert build_layout(SCHEME_NAIVE, layer0, mask3, 1).stored[0, 0] == 0b1000
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,8 @@ def test_naive_examples():
 def test_sign_flip_fault_free_keeps_polarity():
     layer = column_layer([3, -2, 7], 4, TWOS)
     mask = SafMask(np.zeros((3, 1, 4), dtype=np.int8))
-    stored, col_flip = sign_flip_map(layer, mask, row_len=4)
+    layout = build_layout(SCHEME_SIGNFLIP, layer, mask, row_len=4)
+    stored, col_flip = layout.stored, layout.col_flip
     assert np.array_equal(stored, layer.codes)
     assert not col_flip.any()
 
@@ -132,7 +133,8 @@ def test_sign_flip_fault_free_keeps_polarity():
 def test_sign_flip_single_row_example():
     layer = column_layer([7], 4, TWOS)
     mask = single_weight_mask([FF, FF, FF, SA1])
-    stored, col_flip = sign_flip_map(layer, mask, row_len=1)
+    layout = build_layout(SCHEME_SIGNFLIP, layer, mask, row_len=1)
+    stored, col_flip = layout.stored, layout.col_flip
     assert col_flip[0, 0] == 1
     assert stored[0, 0] == 0b1001  # stores -7 exactly, output negated
 
@@ -140,7 +142,8 @@ def test_sign_flip_single_row_example():
 def test_sign_flip_two_row_example():
     layer = column_layer([7, 6], 4, TWOS)
     mask = column_mask([[FF, FF, FF, SA1], [FF, FF, FF, FF]])
-    stored, col_flip = sign_flip_map(layer, mask, row_len=2)
+    layout = build_layout(SCHEME_SIGNFLIP, layer, mask, row_len=2)
+    stored, col_flip = layout.stored, layout.col_flip
     assert col_flip[0, 0] == 1
     assert stored[:, 0].tolist() == [0b1001, 0b1010]  # -7, -6
 
@@ -149,7 +152,7 @@ def test_sign_flip_rejects_unsigned():
     layer = column_layer([7], 4, UNSIGNED)
     mask = SafMask(np.zeros((1, 1, 4), dtype=np.int8))
     with pytest.raises(UnsignedLayerError):
-        sign_flip_map(layer, mask, row_len=1)
+        build_layout(SCHEME_SIGNFLIP, layer, mask, row_len=1)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +163,8 @@ def test_sign_flip_rejects_unsigned():
 def test_bit_flip_fault_free_prefers_zero_mask():
     layer = column_layer([3, 9, 0], 4, UNSIGNED)
     mask = SafMask(np.zeros((3, 1, 4), dtype=np.int8))
-    stored, b_flip = bit_flip_map(layer, mask, row_len=4)
+    layout = build_layout(SCHEME_BITFLIP, layer, mask, row_len=4)
+    stored, b_flip = layout.stored, layout.b_flip
     assert np.array_equal(stored, layer.codes)
     assert not b_flip.any()
 
@@ -169,7 +173,8 @@ def test_bit_flip_single_row_examples():
     # target 0 with SA1 at bit 3: flipping the MSB slice stores 8, reads 0
     layer = column_layer([0], 4, UNSIGNED)
     mask = single_weight_mask([FF, FF, FF, SA1])
-    stored, b_flip = bit_flip_map(layer, mask, row_len=1)
+    layout = build_layout(SCHEME_BITFLIP, layer, mask, row_len=1)
+    stored, b_flip = layout.stored, layout.b_flip
     j = sum(int(b_flip[k, 0, 0]) << k for k in range(4))
     assert j == 0b1000
     assert stored[0, 0] == 0b1000
@@ -178,7 +183,8 @@ def test_bit_flip_single_row_examples():
     # target 5 with SA0@bit0 and SA1@bit1: j=0b0011 reaches error 0
     layer = column_layer([5], 4, UNSIGNED)
     mask = single_weight_mask([SA0, SA1, FF, FF])
-    stored, b_flip = bit_flip_map(layer, mask, row_len=1)
+    layout = build_layout(SCHEME_BITFLIP, layer, mask, row_len=1)
+    stored, b_flip = layout.stored, layout.b_flip
     j = sum(int(b_flip[k, 0, 0]) << k for k in range(4))
     assert j == 0b0011
     assert stored[0, 0] == 0b0110
@@ -196,7 +202,8 @@ def test_bit_flip_matches_brute_force_on_random_columns(mode):
         cells = rng.choice([SA0, FF, SA1], size=(rows, 4), p=[0.15, 0.7, 0.15])
         layer = LayerWeights(codes[:, None].astype(np.uint16), 4, mode)
         mask = column_mask(cells)
-        stored, b_flip = bit_flip_map(layer, mask, row_len=rows)
+        layout = build_layout(SCHEME_BITFLIP, layer, mask, row_len=rows)
+        stored, b_flip = layout.stored, layout.b_flip
         j = sum(int(b_flip[k, 0, 0]) << k for k in range(4))
         targets = [decode(int(c), 4, mode) for c in codes]
         want_j, want_effs, want_err = brute_bitflip_column(
@@ -419,4 +426,4 @@ def test_shape_mismatch_rejected():
     layer = column_layer([1, 2], 4, UNSIGNED)
     mask = SafMask(np.zeros((3, 1, 4), dtype=np.int8))
     with pytest.raises(ValueError):
-        cvm_map(layer, mask)
+        build_layout(SCHEME_CVM, layer, mask, 1)

@@ -67,3 +67,30 @@ def test_array_helpers_match_scalars():
         decoded = numfmt.decode_array(codes, 4, mode)
         assert [decode(int(c), 4, mode) for c in codes] == decoded.tolist()
         assert np.array_equal(encode_array(decoded, 4, mode), codes)
+
+
+def test_json_int_array_examples():
+    def read(values, shape, lo=-1, hi=1, dtype=np.int8):
+        return numfmt.json_int_array(values, "fault mask", "data", shape, lo, hi, dtype)
+
+    got = read([1, 0, -1, 0], (2, 2))
+    assert got.dtype == np.int8 and got.tolist() == [[1, 0], [-1, 0]]
+    assert read([], (0, 3)).shape == (0, 3)  # numpy reads [] as float64
+    # Blocks after the first are checked too.
+    big = [0] * 70_000
+    big[-1] = 2
+    for values, shape, match in (
+        ([255, 0], (2,), r"in \[-1, 1\]"),  # checked before narrowing to int8
+        ([0.5, 0], (2,), "integers"),
+        ([True, False], (2,), "integers"),
+        ([None, 0], (2,), "integers"),
+        ([2**70, 0], (2,), "integers"),
+        ([[0], 0], (2,), "integers"),
+        ([[0, 0], [0, 0]], (2,), "flat array"),
+        ([0, 0, 0], (2, 2), "expected 4"),
+        ([0] * 4, (-2, -2), "negative shape"),
+        (big, (70_000,), r"in \[-1, 1\]"),
+    ):
+        with pytest.raises(ValueError, match=match) as info:
+            read(values, shape)
+        assert "fault mask key 'data'" in str(info.value)
