@@ -29,7 +29,7 @@ import numpy as np
 
 from . import numfmt
 from .mapping import MappedLayout
-from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, json_fields
+from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, decode_table, json_fields
 
 
 class DimensionMismatchError(ValueError):
@@ -108,14 +108,6 @@ def mvm_exact(weights: np.ndarray, activations: np.ndarray) -> np.ndarray:
     return activations @ weights
 
 
-def _term_signs(bits: int, mode: str) -> np.ndarray:
-    """Per-slice sign of the shift-and-add contribution (+1/-1)."""
-    signs = np.ones(bits, dtype=np.int64)
-    if mode == MODE_TWOS_COMPLEMENT:
-        signs[bits - 1] = -1
-    return signs
-
-
 def _bit_planes(codes: np.ndarray, bits: int) -> np.ndarray:
     """(bits, ...) array of the 0/1 planes of an integer code array."""
     codes = np.asarray(codes, dtype=np.int64)
@@ -142,8 +134,9 @@ def mvm_simulate_batch(
     n, m = cfg.weight_bits, cfg.activation_bits
     w_planes = _bit_planes(layout.stored, n)  # (n, M, K)
     a_planes = _bit_planes(act_codes, m)  # (m, B, M)
-    wk = _term_signs(n, cfg.weight_mode) * (1 << np.arange(n, dtype=np.int64))
-    al = _term_signs(m, cfg.activation_mode) * (1 << np.arange(m, dtype=np.int64))
+    # Plane weights: the decoded value of each one-hot code.
+    wk = decode_table(n, cfg.weight_mode)[1 << np.arange(n)].astype(np.int64)
+    al = decode_table(m, cfg.activation_mode)[1 << np.arange(m)].astype(np.int64)
 
     total = np.zeros((act_codes.shape[0], layout.cols), dtype=np.int64)
     for c, rows in enumerate(layout.geometry.slices()):

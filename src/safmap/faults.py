@@ -12,6 +12,7 @@ evaluation harness), so masks are reproducible for a fixed numpy build.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,11 @@ from .numfmt import check_width, json_fields, json_int_array
 SA0 = -1
 FAULT_FREE = 0
 SA1 = 1
+
+# Base-3 fault digits, LSB-bit first: the key of both closest-value engines.
+DIGIT_FAULT_FREE = 0
+DIGIT_SA1 = 1
+DIGIT_SA0 = 2
 
 
 class InvalidRateError(ValueError):
@@ -75,9 +81,12 @@ class SafMask:
 
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
         """(sa0, sa1) bit masks of shape (M, K), one bit per slice (LSB first)."""
-        weights = (1 << np.arange(self.bits, dtype=np.uint16))
-        sa0 = ((self.cells == SA0) * weights).sum(axis=2).astype(np.uint16)
-        sa1 = ((self.cells == SA1) * weights).sum(axis=2).astype(np.uint16)
+        sa0 = np.zeros(self.cells.shape[:2], dtype=np.uint16)
+        sa1 = np.zeros_like(sa0)
+        for k in range(self.bits):
+            plane = self.cells[:, :, k]
+            sa0 |= (plane == SA0).astype(np.uint16) << k
+            sa1 |= (plane == SA1).astype(np.uint16) << k
         return sa0, sa1
 
     def num_faulty(self) -> int:
@@ -149,10 +158,38 @@ def force_write_array(codes: np.ndarray, sa0: np.ndarray, sa1: np.ndarray) -> np
     return (codes | sa1) & ~sa0
 
 
-def fault_key(sa0: np.ndarray, sa1: np.ndarray, bits: int) -> np.ndarray:
-    """The one packed fault key ``sa1 << bits | sa0`` that the closest-value
-    engines index their tables with."""
-    return (np.asarray(sa1, dtype=np.uint32) << bits) | np.asarray(sa0, dtype=np.uint32)
+@functools.cache
+def _key_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(fault digits of every packed ``sa1 << bits | sa0`` pair, packed pair
+    of every digit value).  Pairs stuck at both values in one bit have no
+    digit value."""
+    keys = np.arange(1 << (2 * bits), dtype=np.uint32)
+    sa0, sa1 = keys & ((1 << bits) - 1), keys >> bits
+    digits = np.zeros(keys.size, dtype=np.uint32)
+    for k in range(bits):
+        digits += (3**k) * (DIGIT_SA0 * ((sa0 >> k) & 1) + DIGIT_SA1 * ((sa1 >> k) & 1))
+    single = (sa0 & sa1) == 0
+    packed = np.empty(3**bits, dtype=np.uint32)
+    packed[digits[single]] = keys[single]
+    digits.flags.writeable = packed.flags.writeable = False  # shared by every caller
+    return digits, packed
+
+
+def fault_digits_from_packed(
+    sa0: np.ndarray, sa1: np.ndarray, bits: int
+) -> np.ndarray:
+    """Base-3 fault digits from packed (sa0, sa1) bit masks; ``sa0 & sa1``
+    must be empty (a cell is stuck at one value)."""
+    pair = (np.asarray(sa1, dtype=np.uint32) << bits) | np.asarray(sa0, dtype=np.uint32)
+    return _key_tables(bits)[0][pair]
+
+
+def packed_from_fault_digits(
+    digits: np.ndarray, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed (sa0, sa1) bit masks from base-3 fault digits."""
+    pair = _key_tables(bits)[1][np.asarray(digits, dtype=np.int64)]
+    return (pair & ((1 << bits) - 1)).astype(np.uint16), (pair >> bits).astype(np.uint16)
 
 
 def transform_packed_for_flip(

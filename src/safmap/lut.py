@@ -8,8 +8,8 @@ drop-in replacement for the enumeration engine.
 
 Key layout (fixed so files are bit-exact across runs):
     index = target_code * 3**n + fault_digits
-with the base-3 fault digits LSB-bit first and digit values
-0 = fault-free, 1 = stuck-at-1, 2 = stuck-at-0.
+with the base-3 fault digits of :mod:`safmap.faults`, LSB-bit first, digit
+values 0 = fault-free, 1 = stuck-at-1, 2 = stuck-at-0.
 
 File format (little-endian): magic ``CVML``, version byte 0x01, mode byte
 (0 = unsigned, 1 = two's complement), width byte n, then 6**n entry bytes
@@ -18,13 +18,12 @@ in key order.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .faults import fault_key
+from .faults import fault_digits_from_packed, packed_from_fault_digits
 from .mapping import cvm_codes
 from .numfmt import (
     MODE_TWOS_COMPLEMENT,
@@ -40,10 +39,6 @@ VERSION = 1
 _MODE_BYTES = {MODE_UNSIGNED: 0, MODE_TWOS_COMPLEMENT: 1}
 _BYTE_MODES = {v: k for k, v in _MODE_BYTES.items()}
 
-DIGIT_FAULT_FREE = 0
-DIGIT_SA1 = 1
-DIGIT_SA0 = 2
-
 
 class LutFormatError(ValueError):
     """Malformed or truncated table file."""
@@ -51,37 +46,6 @@ class LutFormatError(ValueError):
 
 class LutMismatchError(ValueError):
     """Cached table file built for another width or mode."""
-
-
-@functools.cache
-def _key_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(base-3 digits of every packed fault key, packed key of every digit
-    value).  Keys stuck at both values in one bit have no digit value."""
-    keys = np.arange(1 << (2 * bits), dtype=np.uint32)
-    sa0, sa1 = keys & ((1 << bits) - 1), keys >> bits
-    digits = np.zeros(keys.size, dtype=np.uint32)
-    for k in range(bits):
-        digits += (3**k) * (DIGIT_SA0 * ((sa0 >> k) & 1) + DIGIT_SA1 * ((sa1 >> k) & 1))
-    single = (sa0 & sa1) == 0
-    packed = np.empty(3**bits, dtype=np.uint32)
-    packed[digits[single]] = keys[single]
-    digits.flags.writeable = packed.flags.writeable = False  # shared by every caller
-    return digits, packed
-
-
-def fault_digits_from_packed(
-    sa0: np.ndarray, sa1: np.ndarray, bits: int
-) -> np.ndarray:
-    """Base-3 key digits from packed (sa0, sa1) bit masks."""
-    return _key_tables(bits)[0][fault_key(sa0, sa1, bits)]
-
-
-def packed_from_fault_digits(
-    digits: np.ndarray, bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Packed (sa0, sa1) bit masks from base-3 key digits."""
-    key = _key_tables(bits)[1][np.asarray(digits, dtype=np.int64)]
-    return (key & ((1 << bits) - 1)).astype(np.uint16), (key >> bits).astype(np.uint16)
 
 
 @dataclass
@@ -106,7 +70,8 @@ class CvmLut:
     def map_codes(
         self, targets: np.ndarray, sa0: np.ndarray, sa1: np.ndarray
     ) -> np.ndarray:
-        """Table lookup equivalent of direct closest-value mapping."""
+        """Table lookup equivalent of direct closest-value mapping;
+        ``sa0 & sa1`` must be empty (a cell is stuck at one value)."""
         shape = np.shape(targets)
         clamped = clamp_array(targets, self.bits, self.mode).ravel()
         codes = (clamped & ((1 << self.bits) - 1)).astype(np.uint32)

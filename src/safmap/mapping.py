@@ -25,7 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from . import numfmt
-from .faults import SafMask, fault_key, force_write_array, transform_packed_for_flip
+from .faults import (
+    SafMask,
+    fault_digits_from_packed,
+    force_write_array,
+    packed_from_fault_digits,
+    transform_packed_for_flip,
+)
 from .numfmt import (
     MODE_TWOS_COMPLEMENT,
     clamp_array,
@@ -128,18 +134,17 @@ def _cvm_tables(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray, int]:
     """(err, penalty, lo) lookup tables for the enumeration engine.
 
     err[t - lo, c]   : |decode(c) - t| for every in-range target t, uint8.
-    penalty[key, c]  : 0x00 if candidate c is legal under the packed fault
-                       key (sa1 << bits | sa0), else 0xFF.
+    penalty[d, c]    : 0x00 if candidate c is legal under the base-3 fault
+                       digits d, i.e. a naive write leaves it unchanged,
+                       else 0xFF.
     """
     dec = decode_table(bits, mode).astype(np.int32)
     lo, hi = value_range(bits, mode)
     targets = np.arange(lo, hi + 1, dtype=np.int32)
     err = np.abs(dec[None, :] - targets[:, None]).astype(np.uint8)
-    cand = np.arange(1 << bits, dtype=np.uint32)
-    keys = np.arange(1 << (2 * bits), dtype=np.uint32)
-    sa1 = (keys >> bits)[:, None]
-    sa0 = (keys & ((1 << bits) - 1))[:, None]
-    legal = ((cand & sa1) == sa1) & ((cand & sa0) == 0)
+    cand = np.arange(1 << bits, dtype=np.uint16)
+    sa0, sa1 = packed_from_fault_digits(np.arange(3**bits), bits)
+    legal = force_write_array(cand, sa0[:, None], sa1[:, None]) == cand
     penalty = np.where(legal, np.uint8(0), _ILLEGAL)
     err.flags.writeable = penalty.flags.writeable = False  # shared by every caller
     return err, penalty, lo
@@ -153,12 +158,13 @@ def cvm_codes(
     ``targets`` holds decoded integers and may lie outside the representable
     range (sign-flip negation); clamping before the search preserves the
     arg-min because distance to an out-of-range value is monotone in the
-    candidate.  Returns the winning code patterns, same shape as targets.
+    candidate.  ``sa0 & sa1`` must be empty (a cell is stuck at one value).
+    Returns the winning code patterns, same shape as targets.
     """
     err_tab, pen_tab, lo = _cvm_tables(bits, mode)
     shape = np.shape(targets)
     tidx = (clamp_array(targets, bits, mode) - lo).ravel()
-    key = fault_key(np.ravel(sa0), np.ravel(sa1), bits)
+    key = fault_digits_from_packed(np.ravel(sa0), np.ravel(sa1), bits)
     out = np.empty(tidx.size, dtype=np.uint16)
     for start in range(0, tidx.size, _BLOCK):
         sl = slice(start, start + _BLOCK)

@@ -183,10 +183,6 @@ class QuantizedLayer:
 class QuantizedModel:
     layers: list[QuantizedLayer]
 
-    @property
-    def weight_bits(self) -> int:
-        return self.layers[0].weights.bits
-
 
 def quantize_model(
     model: ToyModel, weight_bits: int = 8, act_bits: int = 8

@@ -14,8 +14,10 @@ from safmap.faults import (
     InvalidRateError,
     SafMask,
     count_unmasked,
+    fault_digits_from_packed,
     force_write_array,
     gen_saf_mask,
+    packed_from_fault_digits,
     transform_packed_for_flip,
 )
 
@@ -23,6 +25,14 @@ from safmap.faults import (
 def packed(cell) -> tuple[np.ndarray, np.ndarray]:
     """(sa0, sa1) of one per-bit fault vector, as one-element uint16 arrays."""
     return tuple(np.array([m], dtype=np.uint16) for m in cell_to_packed(cell))
+
+
+def test_key_digit_round_trip():
+    for pattern, cell in all_fault_cells(4):
+        sa0, sa1 = cell_to_packed(cell)
+        digits = int(fault_digits_from_packed(np.array([sa0]), np.array([sa1]), 4)[0])
+        assert digits == pattern
+        assert [int(m) for m in packed_from_fault_digits(digits, 4)] == [sa0, sa1]
 
 
 def test_is_legal_examples():

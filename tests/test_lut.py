@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,7 @@ from safmap.lut import (
     LutFormatError,
     LutMismatchError,
     build_cvm_lut,
-    fault_digits_from_packed,
     load_or_build,
-    packed_from_fault_digits,
     read_lut,
     verify_lut,
     write_lut,
@@ -21,14 +21,6 @@ from safmap.numfmt import (
     OutOfRangeError,
     decode,
 )
-
-
-def test_key_digit_round_trip():
-    for pattern, cell in all_fault_cells(4):
-        sa0, sa1 = cell_to_packed(cell)
-        digits = int(fault_digits_from_packed(np.array([sa0]), np.array([sa1]), 4)[0])
-        assert digits == pattern
-        assert [int(m) for m in packed_from_fault_digits(digits, 4)] == [sa0, sa1]
 
 
 def test_n1_table_has_six_entries():
@@ -136,3 +128,19 @@ def test_map_codes_matches_direct_engine_random_n8():
         lut.map_codes(targets, sa0, sa1),
         cvm_codes(targets, sa0, sa1, 8, TWOS),
     )
+
+
+@pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
+def test_n8_build_peak_memory_from_cold_cache(mode):
+    # A cold 8-bit build holds tables over the 3**8 fault digits only.
+    from safmap import faults, mapping
+
+    mapping._cvm_tables.cache_clear()
+    faults._key_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        build_cvm_lut(8, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20

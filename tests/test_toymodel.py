@@ -59,7 +59,7 @@ def test_activation_modes(model):
     qmodel = quantize_model(model)
     assert qmodel.layers[0].act_mode == TWOS  # raw inputs can be negative
     assert qmodel.layers[1].act_mode == UNSIGNED  # post-ReLU
-    assert qmodel.weight_bits == 8
+    assert all(layer.weights.bits == 8 for layer in qmodel.layers)
 
 
 def test_model_json_round_trip(model, tmp_path):

@@ -17,7 +17,9 @@ enumeration passes), so a run takes about 40 s on one CPU.  The simulator
 line runs ``mvm_simulate_batch`` on every small layout with seeded
 activation batches in both decoding modes; the sweep line hashes one small
 ``run_sweep`` report of the seed-0 toy model, without the wall-clock
-``map_seconds`` column.
+``map_seconds`` column; the table line hashes the entry bytes of
+``build_cvm_lut`` for widths 1-8, unsigned then two's complement per width,
+so equal digests mean byte-identical table files.
 """
 
 from __future__ import annotations
@@ -114,12 +116,22 @@ def sweep_digest() -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
+def lut_digest() -> str:
+    """Entry bytes of every table, widths 1-8, both decoding modes."""
+    h = hashlib.sha256()
+    for bits in range(1, 9):
+        for mode in (MODE_UNSIGNED, MODE_TWOS_COMPLEMENT):
+            h.update(build_cvm_lut(bits, mode).entries.tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     for name, cases in (("small", small_cases), ("512x512", large_case)):
         for engine in ("lut", "direct"):
             print(f"{name:8s} {engine:6s} {digest(cases(), engine)}")
     print(f"{'small':8s} {'mvm':6s} {mvm_digest(small_cases())}")
     print(f"{'sweep':8s} {'report':6s} {sweep_digest()}")
+    print(f"{'lut':8s} {'bytes':6s} {lut_digest()}")
 
 
 if __name__ == "__main__":
