@@ -119,7 +119,7 @@ def mvm_simulate_batch(
     layout: MappedLayout, act_codes: np.ndarray, cfg: CrossbarConfig
 ) -> np.ndarray:
     """Simulate a batch of activation vectors; ``act_codes`` is (B, M) raw
-    m-bit patterns.  Returns (B, K) integer outputs."""
+    m-bit patterns, each in [0, 2**m).  Returns (B, K) integer outputs."""
     act_codes = np.asarray(act_codes, dtype=np.int64)
     if act_codes.ndim != 2 or act_codes.shape[1] != layout.rows:
         raise DimensionMismatchError(
@@ -130,8 +130,12 @@ def mvm_simulate_batch(
         raise DimensionMismatchError("layout precision does not match config")
     if layout.row_len != cfg.row_len:
         raise DimensionMismatchError("layout row_len does not match config")
-
     n, m = cfg.weight_bits, cfg.activation_bits
+    if act_codes.size and (act_codes.min() < 0 or act_codes.max() >= 1 << m):
+        raise numfmt.OutOfRangeError(
+            f"activation codes must lie in [0, {(1 << m) - 1}] for m = {m}"
+        )
+
     w_planes = _bit_planes(layout.stored, n)  # (n, M, K)
     a_planes = _bit_planes(act_codes, m)  # (m, B, M)
     # Plane weights: the decoded value of each one-hot code.

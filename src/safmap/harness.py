@@ -59,6 +59,8 @@ class SweepSpec:
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass
@@ -152,6 +154,8 @@ def trial_masks(
 
 def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalReport:
     """Paired Monte Carlo sweep over (fault rate, scheme)."""
+    if not model.layers:
+        raise ValueError("model key 'layers' is empty; a sweep maps at least one layer")
     _, _, x_test, y_test = make_blob_dataset(dataset_seed)
     qmodel = quantize_model(model, spec.weight_bits, spec.act_bits)
     layers = layer_weight_matrices(qmodel)

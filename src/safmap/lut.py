@@ -2,11 +2,13 @@
 
 One table covers every (target code, per-bit fault pattern) pair for a
 given width and decoding mode: 2**n codes times 3**n ternary fault
-patterns, i.e. 6**n entries of one byte each.  The table is built once
-and reused across layers and models; mapping schemes treat it as a
-drop-in replacement for the enumeration engine.
+patterns, i.e. 6**n entries of one byte each.  It is the enumeration
+engine (:func:`safmap.mapping.closest_codes`) evaluated on every key, built
+once and reused across layers and models; mapping schemes treat it as a
+drop-in replacement for that engine.
 
-Key layout (fixed so files are bit-exact across runs):
+Key layout (fixed so files are bit-exact across runs), the one of
+:func:`safmap.mapping.table_keys`:
     index = target_code * 3**n + fault_digits
 with the base-3 fault digits of :mod:`safmap.faults`, LSB-bit first, digit
 values 0 = fault-free, 1 = stuck-at-1, 2 = stuck-at-0.
@@ -23,16 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .faults import fault_digits_from_packed, packed_from_fault_digits
-from .mapping import cvm_codes
-from .numfmt import (
-    MODE_TWOS_COMPLEMENT,
-    MODE_UNSIGNED,
-    check_mode,
-    check_width,
-    clamp_array,
-    decode_table,
-)
+from .mapping import closest_codes, table_keys
+from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, check_mode, check_width
 
 MAGIC = b"CVML"
 VERSION = 1
@@ -70,32 +64,21 @@ class CvmLut:
     def map_codes(
         self, targets: np.ndarray, sa0: np.ndarray, sa1: np.ndarray
     ) -> np.ndarray:
-        """Table lookup equivalent of direct closest-value mapping;
-        ``sa0 & sa1`` must be empty (a cell is stuck at one value)."""
-        shape = np.shape(targets)
-        clamped = clamp_array(targets, self.bits, self.mode).ravel()
-        codes = (clamped & ((1 << self.bits) - 1)).astype(np.uint32)
-        digits = fault_digits_from_packed(
-            np.ravel(sa0), np.ravel(sa1), self.bits
-        )
-        index = codes * np.uint32(3**self.bits) + digits
-        return self.entries[index].astype(np.uint16).reshape(shape)
+        """Table lookup equivalent of :func:`safmap.mapping.cvm_codes`."""
+        keys = table_keys(targets, sa0, sa1, self.bits, self.mode)
+        return self.entries[keys].astype(np.uint16)
 
 
 def build_cvm_lut(bits: int, mode: str) -> CvmLut:
-    """Run closest-value mapping over all 6**bits keys."""
+    """Run closest-value mapping over all 6**bits keys, one target code's
+    3**bits keys at a time."""
     check_width(bits)
     check_mode(mode)
     n3 = 3**bits
-    dec = decode_table(bits, mode).astype(np.int64)
-    # Per fault pattern: packed sa0/sa1 masks in key-digit order.
-    sa0, sa1 = packed_from_fault_digits(np.arange(n3), bits)
-
     entries = np.empty(6**bits, dtype=np.uint8)
-    for code in range(1 << bits):
-        target = np.full(n3, dec[code])
-        mapped = cvm_codes(target, sa0, sa1, bits, mode)
-        entries[code * n3 : (code + 1) * n3] = mapped.astype(np.uint8)
+    for start in range(0, entries.size, n3):
+        keys = np.arange(start, start + n3, dtype=np.uint32)
+        entries[start : start + n3] = closest_codes(keys, bits, mode)
     return CvmLut(bits=bits, mode=mode, entries=entries)
 
 
@@ -153,12 +136,8 @@ def verify_lut(
     empty means the sampled entries all agree.
     """
     rng = np.random.default_rng(seed)
-    n3 = 3**lut.bits
     keys = rng.integers(0, 6**lut.bits, size=samples, dtype=np.int64)
-    codes = keys // n3
-    sa0, sa1 = packed_from_fault_digits(keys % n3, lut.bits)
-    dec = decode_table(lut.bits, lut.mode).astype(np.int64)
-    direct = cvm_codes(dec[codes], sa0, sa1, lut.bits, lut.mode)
+    direct = closest_codes(keys, lut.bits, lut.mode)
     table = lut.entries[keys].astype(np.uint16)
     bad = np.flatnonzero(direct != table)
     return [(int(keys[i]), int(table[i]), int(direct[i])) for i in bad]

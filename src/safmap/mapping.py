@@ -39,7 +39,6 @@ from .numfmt import (
     decode_table,
     json_fields,
     json_int_array,
-    value_range,
 )
 
 SCHEME_NAIVE = "naive"
@@ -130,57 +129,67 @@ class ChunkGeometry:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _cvm_tables(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """(err, penalty, lo) lookup tables for the enumeration engine.
+def _cvm_tables(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(err, penalty) lookup tables for the enumeration engine.
 
-    err[t - lo, c]   : |decode(c) - t| for every in-range target t, uint8.
-    penalty[d, c]    : 0x00 if candidate c is legal under the base-3 fault
-                       digits d, i.e. a naive write leaves it unchanged,
-                       else 0xFF.
+    err[t, c]     : |decode(c) - decode(t)| for target code t, uint8.
+    penalty[d, c] : 0x00 if candidate c is legal under the base-3 fault
+                    digits d, i.e. a naive write leaves it unchanged,
+                    else 0xFF.
     """
     dec = decode_table(bits, mode).astype(np.int32)
-    lo, hi = value_range(bits, mode)
-    targets = np.arange(lo, hi + 1, dtype=np.int32)
-    err = np.abs(dec[None, :] - targets[:, None]).astype(np.uint8)
+    err = np.abs(dec[None, :] - dec[:, None]).astype(np.uint8)
     cand = np.arange(1 << bits, dtype=np.uint16)
     sa0, sa1 = packed_from_fault_digits(np.arange(3**bits), bits)
     legal = force_write_array(cand, sa0[:, None], sa1[:, None]) == cand
     penalty = np.where(legal, np.uint8(0), _ILLEGAL)
     err.flags.writeable = penalty.flags.writeable = False  # shared by every caller
-    return err, penalty, lo
+    return err, penalty
+
+
+def table_keys(
+    targets: np.ndarray, sa0: np.ndarray, sa1: np.ndarray, bits: int, mode: str
+) -> np.ndarray:
+    """Table key ``code * 3**bits + digits`` of each (target, fault) pair.
+
+    ``targets`` holds decoded integers and may lie outside the representable
+    range (sign-flip negation); its code is that of the clamped target,
+    which preserves the arg-min because distance to an out-of-range value is
+    monotone in the candidate.  ``digits`` are the base-3 fault digits of the
+    packed masks; ``sa0 & sa1`` must be empty (a cell is stuck at one value).
+    """
+    codes = clamp_array(targets, bits, mode) & ((1 << bits) - 1)
+    return codes.astype(np.uint32) * np.uint32(3**bits) + fault_digits_from_packed(
+        sa0, sa1, bits
+    )
+
+
+def closest_codes(keys: np.ndarray, bits: int, mode: str) -> np.ndarray:
+    """Closest legal code of every table key, by enumerating all
+    ``2**bits`` candidates; the smallest code wins ties."""
+    err_tab, pen_tab = _cvm_tables(bits, mode)
+    keys = np.asarray(keys)
+    flat = keys.ravel()
+    out = np.empty(flat.size, dtype=np.uint16)
+    for start in range(0, flat.size, _BLOCK):
+        code, digits = np.divmod(flat[start : start + _BLOCK], 3**bits)
+        masked = err_tab[code] | pen_tab[digits]
+        idx = masked.argmin(axis=1)
+        # 0xFF marks illegal candidates but is also a real distance at n=8.
+        # A row whose minimum is 0xFF has no legal candidate nearer than 255,
+        # so every bit is stuck and its one legal code is the stuck-at-1 one.
+        corner = masked[np.arange(idx.size), idx] == _ILLEGAL
+        idx[corner] = packed_from_fault_digits(digits[corner], bits)[1]
+        out[start : start + _BLOCK] = idx
+    return out.reshape(keys.shape)
 
 
 def cvm_codes(
     targets: np.ndarray, sa0: np.ndarray, sa1: np.ndarray, bits: int, mode: str
 ) -> np.ndarray:
-    """Closest-value mapping by enumerating all ``2**bits`` candidates.
-
-    ``targets`` holds decoded integers and may lie outside the representable
-    range (sign-flip negation); clamping before the search preserves the
-    arg-min because distance to an out-of-range value is monotone in the
-    candidate.  ``sa0 & sa1`` must be empty (a cell is stuck at one value).
-    Returns the winning code patterns, same shape as targets.
-    """
-    err_tab, pen_tab, lo = _cvm_tables(bits, mode)
-    shape = np.shape(targets)
-    tidx = (clamp_array(targets, bits, mode) - lo).ravel()
-    key = fault_digits_from_packed(np.ravel(sa0), np.ravel(sa1), bits)
-    out = np.empty(tidx.size, dtype=np.uint16)
-    for start in range(0, tidx.size, _BLOCK):
-        sl = slice(start, start + _BLOCK)
-        masked = err_tab[tidx[sl]] | pen_tab[key[sl]]
-        idx = masked.argmin(axis=1)
-        # 0xFF is ambiguous: it marks illegal candidates but is also a real
-        # distance at n=8.  Redo those (vanishingly rare) rows exactly.
-        picked = np.take_along_axis(masked, idx[:, None], axis=1)[:, 0]
-        bad = np.flatnonzero(picked == _ILLEGAL)
-        if bad.size:
-            exact = err_tab[tidx[sl][bad]].astype(np.int16) + np.where(
-                pen_tab[key[sl][bad]] == _ILLEGAL, np.int16(1 << 10), np.int16(0)
-            )
-            idx[bad] = exact.argmin(axis=1)
-        out[sl] = idx
-    return out.reshape(shape)
+    """Closest-value mapping of each (target, fault) pair, see
+    :func:`table_keys`; returns the winning code patterns."""
+    return closest_codes(table_keys(targets, sa0, sa1, bits, mode), bits, mode)
 
 
 def _solver(layer: LayerWeights, lut):

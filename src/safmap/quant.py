@@ -2,8 +2,9 @@
 
 Signed tensors use scale = max|x| / (2**(n-1) - 1), unsigned tensors
 scale = max(x) / (2**n - 1); codes are round-half-away-from-zero of
-x / scale, clamped to the representable range.  All-zero tensors get
-scale 1 so dequantization is exact.
+x / scale, clamped to the representable range.  All-zero tensors, and
+tensors whose peak is so small that the scale underflows to 0, get scale 1
+so their codes are 0.
 """
 
 from __future__ import annotations
@@ -48,7 +49,9 @@ def quantize(x: np.ndarray, bits: int, mode: str) -> QuantizedTensor:
         if peak < 0:
             peak = 0.0
         levels = (1 << bits) - 1
-    scale = peak / levels if peak > 0 else 1.0
+    scale = peak / levels
+    if scale == 0.0:
+        scale = 1.0
     codes = numfmt.clamp_array(
         _round_half_away(x / scale).astype(np.int64), bits, mode
     )

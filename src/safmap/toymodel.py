@@ -75,20 +75,48 @@ class ToyModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ToyModel":
+        """Parse a model file.  Each layer's ``weights`` hold rows x cols
+        values and its ``bias`` cols values; the layers chain, the first
+        taking ``input_dim`` inputs and the last giving ``classes`` outputs
+        (with no layers, ``classes`` equals ``input_dim``)."""
         specs, input_dim, classes = json_fields(
             obj, "model", layers=list, input_dim=int, classes=int
         )
         layers = []
-        for spec in specs:
+        width = input_dim
+        for i, spec in enumerate(specs):
+            what = f"model layer {i}"
             rows, cols, weights, bias, relu = json_fields(
-                spec, "model layer", rows=int, cols=int, weights=list, bias=list, relu=bool
+                spec, what, rows=int, cols=int, weights=list, bias=list, relu=bool
             )
+            if rows != width:
+                raise ValueError(
+                    f"{what} key 'rows' is {rows}, but layer {i - 1} gives "
+                    f"{width} outputs"
+                    if layers
+                    else f"model key 'input_dim' is {input_dim}, but layer 0 "
+                    f"has {rows} rows"
+                )
+            for key, values, size in (
+                ("weights", weights, rows * cols), ("bias", bias, cols)
+            ):
+                if len(values) != size:
+                    raise ValueError(
+                        f"{what} key {key!r} holds {len(values)} values, "
+                        f"expected {size}"
+                    )
             layers.append(
                 DenseLayer(
                     weights=np.asarray(weights, dtype=np.float64).reshape(rows, cols),
                     bias=np.asarray(bias, dtype=np.float64),
                     relu=relu,
                 )
+            )
+            width = cols
+        if classes != width:
+            raise ValueError(
+                f"model key 'classes' is {classes}, but its 'layers' give "
+                f"{width} outputs"
             )
         return cls(layers=layers, input_dim=input_dim, classes=classes)
 

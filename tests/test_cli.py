@@ -222,6 +222,11 @@ BAD_FILES = [
     ("layout", "stored", [0, 0, 0]),
     ("layout", "col_flip", [0, 0]),
     ("layout", "b_flip", [0, 0, 0]),
+    ("model", "layers", []),
+    ("model", "input_dim", 3),
+    ("model", "classes", 7),
+    ("model layer", "bias", [0.0]),
+    ("model layer", "weights", [0.0]),
 ]
 
 
@@ -247,21 +252,22 @@ def test_missing_json_key_is_runtime_error(tmp_path, capsys, kind, key, value):
     acts = tmp_path / "a.json"
     acts.write_text(json.dumps({"m": 4, "mode": "unsigned", "values": [1, 2]}))
     model = tmp_path / "model.json"
-    if kind == "model":
+    if kind.startswith("model"):
         assert main(["train-toy", "--out", str(model)]) == 0
 
     path = {"mask": mask_path, "weights": weights, "layout": layout,
-            "activations": acts, "model": model}[kind]
+            "activations": acts, "model": model, "model layer": model}[kind]
     obj = json.loads(path.read_text())
+    entry = obj["layers"][0] if kind == "model layer" else obj
     if value is MISSING:
-        del obj[key]
+        del entry[key]
     else:
-        obj[key] = value
+        entry[key] = value
     path.write_text(json.dumps(obj))
     capsys.readouterr()
     if kind in ("mask", "weights"):
         code = main(map_argv)
-    elif kind == "model":
+    elif kind.startswith("model"):
         code = main(["eval", "--model", str(model), "--rates", "0", "--trials", "1",
                      "--schemes", "naive", "--out", str(tmp_path / "r.json")])
     else:

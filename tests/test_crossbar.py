@@ -27,6 +27,7 @@ from safmap.mapping import (
 from safmap.numfmt import (
     MODE_TWOS_COMPLEMENT as TWOS,
     MODE_UNSIGNED as UNSIGNED,
+    OutOfRangeError,
     encode_array,
     value_range,
 )
@@ -254,3 +255,14 @@ def test_dimension_checks():
     bad_cfg = CrossbarConfig(row_len=4, weight_bits=8, activation_bits=4)
     with pytest.raises(DimensionMismatchError):
         mvm_simulate_batch(layout, np.zeros((1, 4), dtype=int), bad_cfg)
+
+
+@pytest.mark.parametrize("code", [-1, 16, 19])
+def test_out_of_range_activation_codes_rejected(code):
+    # Only the low m bits are streamed, so 19 would be computed as 3.
+    layer = LayerWeights.from_values(np.ones((4, 2), dtype=int), 4, TWOS)
+    layout = build_layout(SCHEME_NAIVE, layer, fault_free_mask(4, 2, 4), row_len=4)
+    cfg = CrossbarConfig(row_len=4, weight_bits=4, activation_bits=4)
+    assert mvm_simulate_batch(layout, [[0, 15, 0, 0]], cfg).tolist() == [[15, 15]]
+    with pytest.raises(OutOfRangeError):
+        mvm_simulate_batch(layout, [[0, code, 0, 0]], cfg)

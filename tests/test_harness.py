@@ -16,7 +16,7 @@ from safmap.harness import (
     trial_masks,
 )
 from safmap.mapping import SCHEME_BITFLIP, SCHEME_CVM, SCHEME_NAIVE, SCHEME_SIGNFLIP, build_layout
-from safmap.toymodel import make_blob_dataset, quantize_model, quantized_predict, train_toy
+from safmap.toymodel import ToyModel, make_blob_dataset, quantize_model, quantized_predict, train_toy
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +123,14 @@ def test_spec_validation():
         SweepSpec(rates=(1.5,))
     with pytest.raises(ValueError):
         SweepSpec(schemes=("bogus",))
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            SweepSpec(jobs=jobs)
+
+
+def test_sweep_rejects_model_without_layers():
+    with pytest.raises(ValueError, match="'layers'"):
+        run_sweep(ToyModel(layers=[], input_dim=16, classes=16), SMALL)
 
 
 def test_bench_lut_small():

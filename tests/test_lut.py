@@ -130,6 +130,28 @@ def test_map_codes_matches_direct_engine_random_n8():
     )
 
 
+@pytest.mark.parametrize(
+    "mode, target, sa0, sa1",
+    [
+        (TWOS, 127, 0x7F, 0x80),
+        (TWOS, -128, 0x80, 0x7F),
+        (UNSIGNED, 0, 0x00, 0xFF),
+        (UNSIGNED, 255, 0xFF, 0x00),
+    ],
+)
+def test_n8_every_bit_stuck_at_the_far_extreme(mode, target, sa0, sa1):
+    # The one legal code lies 255 away: a distance of 0xFF, the same byte
+    # that marks illegal candidates in the enumeration tables.
+    from safmap.mapping import cvm_codes
+
+    cell = [SA0 if (sa0 >> k) & 1 else SA1 for k in range(8)]
+    want, err = brute_cvm(target, cell, 8, mode)
+    assert (want, err) == (sa1, 255)
+    args = (np.array([target]), np.array([sa0]), np.array([sa1]))
+    assert cvm_codes(*args, 8, mode).tolist() == [want]
+    assert build_cvm_lut(8, mode).map_codes(*args).tolist() == [want]
+
+
 @pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
 def test_n8_build_peak_memory_from_cold_cache(mode):
     # A cold 8-bit build holds tables over the 3**8 fault digits only.

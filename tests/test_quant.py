@@ -33,6 +33,14 @@ def test_all_zero_tensor():
     assert dequantize(q).tolist() == [0.0] * 5
 
 
+def test_subnormal_peak_gets_unit_scale():
+    # peak / levels underflows to 0.0 here; dividing by it would give +-inf.
+    with np.errstate(all="raise"):
+        q = quantize(np.array([5e-324, 0.0, -5e-324]), 8, TWOS)
+    assert q.scale == 1.0
+    assert q.codes.tolist() == [0, 0, 0]
+
+
 def test_negative_only_unsigned_clamps_to_zero():
     q = quantize(np.array([-3.0, -1.0]), 4, UNSIGNED)
     assert q.codes.tolist() == [0, 0]
