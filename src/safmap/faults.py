@@ -199,14 +199,13 @@ def transform_packed_for_flip(
 
     A stored stuck-at-1 bit in a flipped slice contributes an effective 0
     after digital correction, so in the effective domain its fault acts as
-    stuck-at-0 (and vice versa).  Involutive in j.
+    stuck-at-0 (and vice versa).  The swap toggles both masks where
+    ``(sa0 ^ sa1) & j`` is set.  Involutive in j.
     """
     sa0 = np.asarray(sa0, dtype=np.uint16)
     sa1 = np.asarray(sa1, dtype=np.uint16)
-    jm = np.uint16(j)
-    new_sa0 = (sa0 & ~jm) | (sa1 & jm)
-    new_sa1 = (sa1 & ~jm) | (sa0 & jm)
-    return new_sa0, new_sa1
+    swap = (sa0 ^ sa1) & np.asarray(j, dtype=np.uint16)
+    return sa0 ^ swap, sa1 ^ swap
 
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)

@@ -27,6 +27,7 @@ import numpy as np
 from . import numfmt
 from .faults import (
     SafMask,
+    _key_tables,
     fault_digits_from_packed,
     force_write_array,
     packed_from_fault_digits,
@@ -192,17 +193,22 @@ def cvm_codes(
     return closest_codes(table_keys(targets, sa0, sa1, bits, mode), bits, mode)
 
 
-def _solver(layer: LayerWeights, lut):
-    """Closest-value mapping ``(targets, sa0, sa1) -> codes`` for the layer:
-    the table lookup if a table is given, else direct enumeration."""
+def _engines(layer: LayerWeights, lut):
+    """Closest-value mapping for the layer, as ``(solve, lookup)``:
+    ``solve(targets, sa0, sa1) -> codes`` and ``lookup(keys) -> codes`` on
+    table keys.  The table if one is given, else direct enumeration."""
     if lut is None:
-        return functools.partial(cvm_codes, bits=layer.bits, mode=layer.mode)
+        bits, mode = layer.bits, layer.mode
+        return (
+            functools.partial(cvm_codes, bits=bits, mode=mode),
+            functools.partial(closest_codes, bits=bits, mode=mode),
+        )
     if lut.bits != layer.bits or lut.mode != layer.mode:
         raise ValueError(
             f"LUT built for ({lut.bits}-bit, {lut.mode}) cannot map a "
             f"({layer.bits}-bit, {layer.mode}) layer"
         )
-    return lut.map_codes
+    return lut.map_codes, lut.entries.take
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +342,7 @@ class MappedLayout:
 
 
 def _best_words(
-    words, signed, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, solve
+    words, signed, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, lookup
 ) -> np.ndarray:
     """Per (chunk, column), the correction word with the least summed error.
 
@@ -344,21 +350,52 @@ def _best_words(
     through the flip mask j, and is scored by the chunk sum of
     |decoded - signed target|.  A word replaces the running best only when
     strictly better, so the earliest word wins ties.
+
+    Every mapped code is in range, so a weight's error splits into
+    |clamp(t) - t|, the same for every j, plus |decoded - clamp(t)|.  The
+    first part is summed once per sign.  The second is 0 for a weight with
+    no stuck bit, which maps to clamp(t) itself, so only the faulty weights
+    are solved per word, straight from their table keys.  Flipping j swaps
+    SA0 and SA1 where ``(sa0 ^ sa1) & j`` is set: one XOR on the packed
+    pair ``sa1 << bits | sa0``.  The sums are integers far below 2**53, so
+    the float64 bincounts are exact.
     """
-    dec = decode_table(layer.bits, layer.mode).astype(np.int64)
-    low = (1 << layer.bits) - 1
-    best_err = np.full((geom.num_chunks, layer.cols), np.iinfo(np.int64).max)
-    best_word = np.zeros(best_err.shape, dtype=np.uint16)
+    bits, low = layer.bits, (1 << layer.bits) - 1
+    both = (1 << bits) + 1  # j * both == j << bits | j
+    rows, cols = np.nonzero(sa0 | sa1)
+    group = rows // geom.row_len * layer.cols + cols
+    size = geom.num_chunks * layer.cols
+    pair = (sa1[rows, cols].astype(np.uint32) << bits) | sa0[rows, cols]
+    swap = (sa0 ^ sa1)[rows, cols].astype(np.uint32) * np.uint32(both)
+    digit_of_pair = _key_tables(bits)[0]
+    dec = decode_table(bits, layer.mode).astype(np.float64)
+    base, offset, near = {}, {}, {}
+    for sign in {word >> bits for word in words}:
+        clamped = clamp_array(signed[sign], bits, layer.mode)
+        base[sign] = geom.chunk_sums(np.abs(clamped - signed[sign])).ravel()
+        faulty = clamped[rows, cols]
+        offset[sign] = (faulty & low).astype(np.uint32) * np.uint32(3**bits)
+        near[sign] = faulty.astype(np.float64)
+    flipped = np.empty(rows.size, dtype=np.uint32)
+    key = np.empty_like(flipped)
+    err = np.empty(rows.size, dtype=np.float64)
+    best = np.full(size, np.inf)
+    better = np.empty(size, dtype=bool)
+    best_word = np.zeros(size, dtype=np.uint16)
     for word in words:
-        target = signed[word >> layer.bits]
-        eff = solve(target, *transform_packed_for_flip(sa0, sa1, word & low))
-        dist = dec.take(eff)
-        dist -= target
-        err = geom.chunk_sums(np.abs(dist, out=dist))
-        better = err < best_err
-        best_err[better] = err[better]
+        sign = word >> bits
+        np.bitwise_and(swap, np.uint32((word & low) * both), out=flipped)
+        flipped ^= pair
+        digit_of_pair.take(flipped, out=key)
+        key += offset[sign]
+        dec.take(lookup(key), out=err)
+        err -= near[sign]
+        score = np.bincount(group, weights=np.abs(err, out=err), minlength=size)
+        score += base[sign]
+        np.less(score, best, out=better)
+        np.copyto(best, score, where=better)
         best_word[better] = word
-    return best_word
+    return best_word.reshape(geom.num_chunks, layer.cols)
 
 
 def build_layout(
@@ -392,7 +429,7 @@ def build_layout(
     if scheme == SCHEME_NAIVE:
         stored = force_write_array(layer.codes, sa0, sa1)
     else:
-        solve = _solver(layer, lut)
+        solve, lookup = _engines(layer, lut)
         targets = layer.values()
         signed = (targets, -targets)
         words = {
@@ -401,7 +438,7 @@ def build_layout(
             SCHEME_BITFLIP: range(1 << bits),
         }[scheme]
         if len(words) > 1:
-            word = _best_words(words, signed, sa0, sa1, geom, layer, solve)
+            word = _best_words(words, signed, sa0, sa1, geom, layer, lookup)
         row_word = geom.per_row(word)
         j = row_word & ((1 << bits) - 1)
         target = np.where(row_word >> bits, signed[1], signed[0])

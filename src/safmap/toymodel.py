@@ -10,6 +10,7 @@ after the first layer can stream as unsigned activations.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,19 @@ _HIDDEN = 32
 _EPOCHS = 400
 _LEARNING_RATE = 0.05
 _ACCURACY_FLOOR = 0.95
+
+
+def _finite_floats(values: list, name: str) -> np.ndarray:
+    """A JSON array of finite numbers as float64.  Any other element --
+    ``true``/``false``, null, a string, an array or object, or the NaN and
+    Infinity that ``json.loads`` accepts -- is a ValueError naming ``name``."""
+    top = sys.float_info.max
+    for i, value in enumerate(values):
+        if type(value) not in (int, float) or not -top <= value <= top:
+            raise ValueError(
+                f"{name} element {i} must be a finite number, not {json.dumps(value)}"
+            )
+    return np.asarray(values, dtype=np.float64)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -76,7 +90,7 @@ class ToyModel:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ToyModel":
         """Parse a model file.  Each layer's ``weights`` hold rows x cols
-        values and its ``bias`` cols values; the layers chain, the first
+        finite numbers and its ``bias`` cols; the layers chain, the first
         taking ``input_dim`` inputs and the last giving ``classes`` outputs
         (with no layers, ``classes`` equals ``input_dim``)."""
         specs, input_dim, classes = json_fields(
@@ -105,10 +119,11 @@ class ToyModel:
                         f"{what} key {key!r} holds {len(values)} values, "
                         f"expected {size}"
                     )
+            weights = _finite_floats(weights, f"{what} key 'weights'")
             layers.append(
                 DenseLayer(
-                    weights=np.asarray(weights, dtype=np.float64).reshape(rows, cols),
-                    bias=np.asarray(bias, dtype=np.float64),
+                    weights=weights.reshape(rows, cols),
+                    bias=_finite_floats(bias, f"{what} key 'bias'"),
                     relu=relu,
                 )
             )

@@ -199,6 +199,23 @@ def test_map_refuses_lut_cache_of_another_width(tmp_path, capsys):
 
 
 MISSING = object()
+
+
+class First:
+    """Replace only the first element of the key's array."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def bad_file_id(kind, key, value):
+    if value is MISSING:
+        return f"{kind}-{key}"
+    if isinstance(value, First):
+        return f"{kind}-{key}[0]={json.dumps(value.value)}"
+    return f"{kind}-{key}={json.dumps(value)}"
+
+
 BAD_FILES = [
     ("mask", "bits", MISSING),
     ("weights", "values", MISSING),
@@ -227,14 +244,20 @@ BAD_FILES = [
     ("model", "classes", 7),
     ("model layer", "bias", [0.0]),
     ("model layer", "weights", [0.0]),
+    ("model layer", "weights", First({})),
+    ("model layer", "weights", First(None)),
+    ("model layer", "weights", First("x")),
+    ("model layer", "weights", First(True)),
+    ("model layer", "weights", First(float("nan"))),
+    ("model layer", "bias", First(float("inf"))),
+    ("model layer", "bias", First(float("-inf"))),
 ]
 
 
 @pytest.mark.parametrize(
     "kind, key, value",
     BAD_FILES,
-    ids=[f"{kind}-{key}" + ("" if value is MISSING else f"={json.dumps(value)}")
-         for kind, key, value in BAD_FILES],
+    ids=[bad_file_id(*case) for case in BAD_FILES],
 )
 def test_missing_json_key_is_runtime_error(tmp_path, capsys, kind, key, value):
     """A key missing from an input file, or holding a value of the wrong
@@ -261,6 +284,8 @@ def test_missing_json_key_is_runtime_error(tmp_path, capsys, kind, key, value):
     entry = obj["layers"][0] if kind == "model layer" else obj
     if value is MISSING:
         del entry[key]
+    elif isinstance(value, First):
+        entry[key][0] = value.value
     else:
         entry[key] = value
     path.write_text(json.dumps(obj))

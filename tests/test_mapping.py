@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,17 @@ from oracle import (
     cell_to_packed,
     legal_ref,
 )
-from safmap.faults import FAULT_FREE as FF, SA0, SA1, FaultInjectionSpec, SafMask, gen_saf_mask
+from safmap.faults import (
+    FAULT_FREE as FF,
+    SA0,
+    SA1,
+    FaultInjectionSpec,
+    SafMask,
+    gen_saf_mask,
+    sample_saf_mask,
+    transform_packed_for_flip,
+)
+from safmap.lut import build_cvm_lut
 from safmap.mapping import (
     ChunkGeometry,
     LayerWeights,
@@ -27,7 +38,13 @@ from safmap.mapping import (
     cvm_codes,
     mapping_error,
 )
-from safmap.numfmt import MODE_TWOS_COMPLEMENT as TWOS, MODE_UNSIGNED as UNSIGNED
+from safmap.numfmt import (
+    MODE_TWOS_COMPLEMENT as TWOS,
+    MODE_UNSIGNED as UNSIGNED,
+    decode_table,
+    encode_array,
+    value_range,
+)
 
 
 def single_weight_mask(cell) -> SafMask:
@@ -216,6 +233,92 @@ def test_bit_flip_matches_brute_force_on_random_columns(mode):
         assert got_err == want_err
         assert j == want_j
         assert [int(s) ^ j for s in stored[:, 0]] == want_effs
+
+
+# ---------------------------------------------------------------------------
+# Correction-word search against a full solve per word
+# ---------------------------------------------------------------------------
+
+
+def full_solve_words(scheme, layer, mask, row_len):
+    """First arg-min over the scheme's words of the chunk-summed error when
+    every weight is mapped with ``cvm_codes`` under each word."""
+    bits = layer.bits
+    words = np.arange(1 << bits) if scheme == SCHEME_BITFLIP else np.array([0, 1 << bits])
+    sa0, sa1 = mask.packed()
+    targets = layer.values()
+    dec = decode_table(bits, layer.mode).astype(np.int64)
+    geom = ChunkGeometry(layer.rows, row_len)
+    errs = []
+    for word in words:
+        target = -targets if word >> bits else targets
+        flipped = transform_packed_for_flip(sa0, sa1, word & ((1 << bits) - 1))
+        eff = cvm_codes(target, *flipped, bits, layer.mode)
+        errs.append(geom.chunk_sums(np.abs(dec[eff] - target)))
+    return words[np.argmin(errs, axis=0)]
+
+
+def chosen_words(layout):
+    return (layout.col_flip.astype(np.uint16) << layout.bits) | layout.flip_masks()
+
+
+def extreme_heavy_case(rng, rows, cols, bits, mode, rate):
+    """Random codes, about 30% of them the most negative one."""
+    codes = rng.integers(0, 1 << bits, size=(rows, cols))
+    lowest = encode_array(np.array([value_range(bits, mode)[0]]), bits, mode)[0]
+    codes[rng.random((rows, cols)) < 0.3] = lowest
+    layer = LayerWeights(codes.astype(np.uint16), bits, mode)
+    return layer, sample_saf_mask(rng, (rows, cols, bits), rate)
+
+
+def assert_search_matches_full_solve(layer, mask, row_len, table):
+    schemes = [SCHEME_BITFLIP] + ([SCHEME_SIGNFLIP] if layer.mode == TWOS else [])
+    for scheme in schemes:
+        want = full_solve_words(scheme, layer, mask, row_len)
+        for lut in (None, table):
+            layout = build_layout(scheme, layer, mask, row_len, lut=lut)
+            assert np.array_equal(chosen_words(layout), want), (scheme, lut is None)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.05, 0.3, 1.0])
+@pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
+def test_word_search_matches_full_solve(bits, mode, rate):
+    table = build_cvm_lut(bits, mode)
+    rng = np.random.default_rng([bits, int(rate * 100), mode == TWOS])
+    for _ in range(5):
+        rows = int(rng.integers(3, 9))
+        row_len = int(rng.choice([r for r in range(2, rows) if rows % r]))
+        layer, mask = extreme_heavy_case(
+            rng, rows, int(rng.integers(1, 5)), bits, mode, rate
+        )
+        assert_search_matches_full_solve(layer, mask, row_len, table)
+
+
+def test_word_search_matches_full_solve_n8():
+    rng = np.random.default_rng(70)
+    layer, mask = extreme_heavy_case(rng, 70, 6, 8, TWOS, 0.05)
+    assert_search_matches_full_solve(layer, mask, 16, build_cvm_lut(8, TWOS))
+
+
+def test_bitflip_search_peak_memory():
+    # The search keeps per-word buffers over the faulty weights only; a
+    # (2**bits, 3**bits) table of flipped fault digits would double the peak.
+    from safmap import faults, mapping
+
+    table = build_cvm_lut(8, TWOS)
+    rng = np.random.default_rng(0)
+    layer = LayerWeights(rng.integers(0, 256, size=(512, 512)).astype(np.uint16), 8, TWOS)
+    mask = sample_saf_mask(rng, (512, 512, 8), 0.05)
+    mapping._cvm_tables.cache_clear()
+    faults._key_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        build_layout(SCHEME_BITFLIP, layer, mask, 64, lut=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -96,3 +96,17 @@ def test_model_json_round_trip_any_shape(dims, relus, seed):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
         assert la.relu is lb.relu
+
+
+def test_model_json_rejects_numbers_beyond_float64():
+    # Integers convert exactly as long as float64 can hold them.
+    obj = ToyModel(
+        layers=[DenseLayer(np.zeros((1, 2)), np.zeros(2), relu=False)],
+        input_dim=1,
+        classes=2,
+    ).to_json_dict()
+    obj["layers"][0]["weights"] = [2**70, -3]
+    assert ToyModel.from_json_dict(obj).layers[0].weights.tolist() == [[2.0**70, -3.0]]
+    obj["layers"][0]["bias"] = [0, -(10**400)]
+    with pytest.raises(ValueError, match=r"model layer 0 key 'bias' element 1"):
+        ToyModel.from_json_dict(obj)
