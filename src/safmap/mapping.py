@@ -199,10 +199,17 @@ def _engines(layer: LayerWeights, lut):
     table keys.  The table if one is given, else direct enumeration."""
     if lut is None:
         bits, mode = layer.bits, layer.mode
-        return (
-            functools.partial(cvm_codes, bits=bits, mode=mode),
-            functools.partial(closest_codes, bits=bits, mode=mode),
-        )
+
+        def lookup(keys: np.ndarray) -> np.ndarray:
+            # Most keys repeat (a fault-free weight's key is its target code),
+            # so each distinct key is enumerated once.
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            return closest_codes(distinct, bits, mode)[inverse.reshape(keys.shape)]
+
+        def solve(targets: np.ndarray, sa0: np.ndarray, sa1: np.ndarray) -> np.ndarray:
+            return lookup(table_keys(targets, sa0, sa1, bits, mode))
+
+        return solve, lookup
     if lut.bits != layer.bits or lut.mode != layer.mode:
         raise ValueError(
             f"LUT built for ({lut.bits}-bit, {lut.mode}) cannot map a "

@@ -183,14 +183,23 @@ def train_toy(seed: int = 0) -> ToyModel:
 
     onehot = np.eye(classes)[y_train]
     count = x_train.shape[0]
+    # The (count, hidden) arrays are reused across epochs: fresh 500 KB
+    # temporaries would make the training time depend on whether the
+    # allocator serves them from freed heap or from new, faulting pages.
+    h_pre = np.empty((count, _HIDDEN))
+    h = np.empty_like(h_pre)
+    g_h = np.empty_like(h_pre)
+    active = np.empty(h_pre.shape, dtype=bool)
     for _ in range(_EPOCHS):
-        h_pre = x_train @ w1 + b1
-        h = np.maximum(h_pre, 0.0)
+        np.matmul(x_train, w1, out=h_pre)
+        h_pre += b1
+        np.maximum(h_pre, 0.0, out=h)
         probs = _softmax(h @ w2 + b2)
         g_out = (probs - onehot) / count
         g_w2 = h.T @ g_out
         g_b2 = g_out.sum(axis=0)
-        g_h = (g_out @ w2.T) * (h_pre > 0)
+        np.matmul(g_out, w2.T, out=g_h)
+        g_h *= np.greater(h_pre, 0, out=active)
         g_w1 = x_train.T @ g_h
         g_b1 = g_h.sum(axis=0)
         w2 -= _LEARNING_RATE * g_w2

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from safmap.numfmt import (
     MODE_TWOS_COMPLEMENT as TWOS,
     MODE_UNSIGNED as UNSIGNED,
     OutOfRangeError,
+    decode_array,
     encode_array,
     value_range,
 )
@@ -266,3 +268,79 @@ def test_out_of_range_activation_codes_rejected(code):
     assert mvm_simulate_batch(layout, [[0, 15, 0, 0]], cfg).tolist() == [[15, 15]]
     with pytest.raises(OutOfRangeError):
         mvm_simulate_batch(layout, [[0, code, 0, 0]], cfg)
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the float64 partial sums and simulator memory
+# ---------------------------------------------------------------------------
+
+
+def flip_layout(scheme, stored, bits, mode, row_len, flip=1):
+    """Layout of ``stored`` whose ``scheme`` flip array is ``flip``
+    (broadcast)."""
+    rows, cols = stored.shape
+    chunks = ChunkGeometry(rows, row_len).num_chunks
+    col_flip = np.zeros((chunks, cols), dtype=np.uint8)
+    b_flip = np.zeros((bits, chunks, cols), dtype=np.uint8)
+    if scheme == SCHEME_SIGNFLIP:
+        col_flip[:] = flip
+    if scheme == SCHEME_BITFLIP:
+        b_flip[:] = flip
+    return MappedLayout(scheme, bits, mode, row_len, stored, col_flip, b_flip)
+
+
+@pytest.mark.parametrize("scheme", (SCHEME_NAIVE, SCHEME_SIGNFLIP, SCHEME_BITFLIP))
+@pytest.mark.parametrize("wmode", [UNSIGNED, TWOS])
+@pytest.mark.parametrize("amode", [UNSIGNED, TWOS])
+def test_all_ones_codes_at_eight_bits_are_exact(scheme, wmode, amode):
+    # Every partial sum is at its maximum, the chunk's row count.
+    rows, cols, row_len = 300, 5, 128
+    layout = flip_layout(scheme, np.full((rows, cols), 255), 8, wmode, row_len)
+    cfg = CrossbarConfig(row_len=row_len, weight_mode=wmode, activation_mode=amode)
+    acts = np.full((3, rows), 255)
+    got = mvm_simulate_batch(layout, acts, cfg)
+    want = mvm_exact(layout.effective_values(), decode_array(acts, 8, amode))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("wmode", [UNSIGNED, TWOS])
+def test_one_long_chunk_with_every_slice_flipped_is_exact(wmode):
+    # 255 * rows is odd and above 2**24: float64 holds the unsigned
+    # shift-and-add of column 0 exactly, float32 would round it.
+    rng = np.random.default_rng(41)
+    rows, cols = 70_001, 3
+    stored = rng.integers(0, 256, size=(rows, cols))
+    stored[:, 0] = 0  # every flipped slice reads all ones
+    layout = flip_layout(SCHEME_BITFLIP, stored, 8, wmode, rows)
+    cfg = CrossbarConfig(row_len=rows, weight_mode=wmode)
+    acts = rng.integers(0, 256, size=(4, rows))
+    acts[0] = 255
+    got = mvm_simulate_batch(layout, acts, cfg)
+    assert np.array_equal(got, mvm_exact(layout.effective_values(), acts))
+
+
+@pytest.mark.parametrize("batch, cols", [(0, 3), (2, 0)])
+def test_empty_batch_or_layer_gives_empty_int64_output(batch, cols):
+    layout = flip_layout(SCHEME_BITFLIP, np.ones((10, cols), dtype=int), 4, TWOS, 4)
+    cfg = CrossbarConfig(row_len=4, weight_bits=4, activation_bits=4)
+    out = mvm_simulate_batch(layout, np.zeros((batch, 10), dtype=np.int64), cfg)
+    assert out.shape == (batch, cols) and out.dtype == np.int64
+
+
+def test_simulator_peak_memory():
+    # Bit planes are built per chunk; building those of the whole layer at
+    # once, as int64, more than doubles the peak.
+    rng = np.random.default_rng(0)
+    layout = flip_layout(
+        SCHEME_BITFLIP, rng.integers(0, 256, size=(512, 512)), 8, TWOS, 64,
+        rng.integers(0, 2, size=(8, 8, 512)),
+    )
+    acts = rng.integers(0, 256, size=(64, 512))
+    tracemalloc.start()
+    try:
+        mvm_simulate_batch(layout, acts, CrossbarConfig(row_len=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20

@@ -13,8 +13,8 @@ identical Monte Carlo sweep report:
 Cases: 240 random small layers (1-5 bits, both decoding modes, random
 shape, row length and fault rate) and one 512x512 8-bit layer at 5%
 faults.  The large case runs the direct bit-flip search (256 enumeration
-passes over its faulty weights), so a run takes about 21 s on a 2-vCPU
-shared Xeon host (Python 3.11, numpy 2.4).  The simulator line runs
+passes over the distinct keys of its faulty weights), so a run takes about
+9 s on a 2-vCPU shared Xeon host (Python 3.11, numpy 2.4).  The simulator line runs
 ``mvm_simulate_batch`` on every small layout with seeded activation
 batches in both decoding modes; the sweep line hashes one small
 ``run_sweep`` report of the seed-0 toy model, without the wall-clock
