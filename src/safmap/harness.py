@@ -11,6 +11,7 @@ trial means only.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import statistics
@@ -23,7 +24,7 @@ import numpy as np
 
 from .crossbar import CrossbarConfig, mvm_simulate_batch
 from .faults import SafMask, count_unmasked, mask_rng, sample_saf_mask
-from .lut import CvmLut, build_cvm_lut
+from .lut import CvmLut, OnDemandLut, build_cvm_lut
 from .mapping import (
     SCHEME_BITFLIP,
     SCHEME_SIGNFLIP,
@@ -152,8 +153,34 @@ def trial_masks(
     ]
 
 
+def _trial_block(layout: MappedLayout, trial: int, cols: int) -> MappedLayout:
+    """One trial's columns of a layout mapped with the trials side by side."""
+    block = slice(trial * cols, (trial + 1) * cols)
+    return MappedLayout(
+        scheme=layout.scheme,
+        bits=layout.bits,
+        mode=layout.mode,
+        row_len=layout.row_len,
+        stored=layout.stored[:, block],
+        col_flip=layout.col_flip[:, block],
+        b_flip=layout.b_flip[:, :, block],
+    )
+
+
 def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalReport:
-    """Paired Monte Carlo sweep over (fault rate, scheme)."""
+    """Paired Monte Carlo sweep over (fault rate, scheme).
+
+    All trials of a rate are mapped with one ``build_layout`` call per
+    (scheme, layer): the trials' masks side by side against the layer's
+    codes tiled once per trial.  Every correction word is chosen per
+    (chunk, column), so each trial's column block is the layout that trial
+    gets when mapped alone.  The closest-value table is solved on demand
+    (:class:`safmap.lut.OnDemandLut`), for the keys the sweep meets only;
+    ``map_seconds`` is each trial's share of its rate's batched mapping
+    time.  With ``jobs > 1`` the per-trial part (splitting the layouts,
+    mapping error and inference) runs on a thread pool; mapping stays on
+    the calling thread, because lookups fill the table.
+    """
     if not model.layers:
         raise ValueError("model key 'layers' is empty; a sweep maps at least one layer")
     _, _, x_test, y_test = make_blob_dataset(dataset_seed)
@@ -162,62 +189,62 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
     shapes = [(lw.rows, lw.cols, lw.bits) for lw in layers]
     total_weights = sum(lw.codes.size for lw in layers)
     total_cells = sum(r * c * b for r, c, b in shapes)
-    lut = build_cvm_lut(spec.weight_bits, MODE_TWOS_COMPLEMENT)
+    lut = OnDemandLut(spec.weight_bits, MODE_TWOS_COMPLEMENT)
+    tiled = [
+        LayerWeights(np.tile(lw.codes, (1, spec.trials)), lw.bits, lw.mode)
+        for lw in layers
+    ]
 
-    def one_trial(rate: float, trial: int) -> dict:
-        masks = trial_masks(spec, trial, shapes, rate)
-        unmasked = sum(
-            count_unmasked(lw.codes, mask) for lw, mask in zip(layers, masks)
+    def score(stacked: list[MappedLayout], trial: int) -> tuple[float, float]:
+        """Accuracy and mean absolute weight error of one trial."""
+        layouts = [
+            _trial_block(layout, trial, lw.cols) for layout, lw in zip(stacked, layers)
+        ]
+        abs_err = sum(
+            mapping_error(layout, lw)[1] for layout, lw in zip(layouts, layers)
         )
-        out = {}
-        for scheme in spec.schemes:
-            start = time.perf_counter()
-            layouts = [
-                build_layout(scheme, lw, mask, spec.row_len, lut=lut)
-                for lw, mask in zip(layers, masks)
-            ]
-            map_seconds = time.perf_counter() - start
-            abs_err = sum(
-                mapping_error(layout, lw)[1] for layout, lw in zip(layouts, layers)
-            )
-            labels = run_inference(qmodel, layouts, x_test)
-            out[scheme] = {
-                "acc": float((labels == y_test).mean()),
-                "abs_err": abs_err / total_weights,
-                "unmasked": unmasked,
-                "map_seconds": map_seconds,
-            }
-        return out
+        labels = run_inference(qmodel, layouts, x_test)
+        return float((labels == y_test).mean()), abs_err / total_weights
 
     results: list[ResultRow] = []
-    for rate in spec.rates:
-        if spec.jobs > 1:
-            with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-                trials = list(
-                    pool.map(lambda t: one_trial(rate, t), range(spec.trials))
+    with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
+        each = pool.map if spec.jobs > 1 else map
+        for rate in spec.rates:
+            masks = [trial_masks(spec, t, shapes, rate) for t in range(spec.trials)]
+            unmasked = [
+                sum(count_unmasked(lw.codes, m) for lw, m in zip(layers, ms))
+                for ms in masks
+            ]
+            stacked_masks = [
+                SafMask(np.concatenate([ms[i].cells for ms in masks], axis=1))
+                for i in range(len(layers))
+            ]
+            scored = {}
+            for scheme in spec.schemes:
+                start = time.perf_counter()
+                stacked = [
+                    build_layout(scheme, lw, mask, spec.row_len, lut=lut)
+                    for lw, mask in zip(tiled, stacked_masks)
+                ]
+                map_seconds = (time.perf_counter() - start) / spec.trials
+                # The pool starts scoring while the next scheme is mapped.
+                scored[scheme] = map_seconds, each(
+                    functools.partial(score, stacked), range(spec.trials)
                 )
-        else:
-            trials = [one_trial(rate, t) for t in range(spec.trials)]
-        for scheme in spec.schemes:
-            accs = [t[scheme]["acc"] for t in trials]
-            results.append(
-                ResultRow(
-                    rate=rate,
-                    scheme=scheme,
-                    trials=spec.trials,
-                    mean_acc=float(np.mean(accs)),
-                    std_acc=float(np.std(accs)),
-                    mean_abs_weight_err=float(
-                        np.mean([t[scheme]["abs_err"] for t in trials])
-                    ),
-                    mean_unmasked_faults=float(
-                        np.mean([t[scheme]["unmasked"] for t in trials])
-                    ),
-                    map_seconds=float(
-                        np.mean([t[scheme]["map_seconds"] for t in trials])
-                    ),
+            for scheme, (map_seconds, per_trial) in scored.items():
+                accs, errs = zip(*per_trial)
+                results.append(
+                    ResultRow(
+                        rate=rate,
+                        scheme=scheme,
+                        trials=spec.trials,
+                        mean_acc=float(np.mean(accs)),
+                        std_acc=float(np.std(accs)),
+                        mean_abs_weight_err=float(np.mean(errs)),
+                        mean_unmasked_faults=float(np.mean(unmasked)),
+                        map_seconds=map_seconds,
+                    )
                 )
-            )
 
     config = {
         "rates": list(spec.rates),

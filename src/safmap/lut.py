@@ -5,7 +5,9 @@ given width and decoding mode: 2**n codes times 3**n ternary fault
 patterns, i.e. 6**n entries of one byte each.  It is the enumeration
 engine (:func:`safmap.mapping.closest_codes`) evaluated on every key, built
 once and reused across layers and models; mapping schemes treat it as a
-drop-in replacement for that engine.
+drop-in replacement for that engine.  :class:`OnDemandLut` is the same
+table with each entry solved by that engine the first time it is looked up,
+for runs that meet only a few of the keys.
 
 Key layout (fixed so files are bit-exact across runs), the one of
 :func:`safmap.mapping.table_keys`:
@@ -59,6 +61,11 @@ class CvmLut:
                 f"expected {6 ** self.bits} entries, got {self.entries.shape}"
             )
 
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Entries of table keys, equivalent of
+        :func:`safmap.mapping.closest_codes`."""
+        return self.entries.take(keys)
+
     # Mapping schemes call this through the same interface as the direct
     # enumeration engine.
     def map_codes(
@@ -66,7 +73,42 @@ class CvmLut:
     ) -> np.ndarray:
         """Table lookup equivalent of :func:`safmap.mapping.cvm_codes`."""
         keys = table_keys(targets, sa0, sa1, self.bits, self.mode)
-        return self.entries[keys].astype(np.uint16)
+        return self.lookup(keys).astype(np.uint16)
+
+
+class OnDemandLut(CvmLut):
+    """The table of one (width, mode), each entry solved by
+    :func:`safmap.mapping.closest_codes` the first time its key is looked
+    up.  Lookups write to it, so keep them on one thread."""
+
+    def __init__(self, bits: int, mode: str) -> None:
+        check_width(bits)
+        check_mode(mode)
+        self.bits = bits
+        self.mode = mode
+        # code + 1 per key, 0 while unsolved; np.zeros leaves untouched
+        # pages unallocated.
+        self._solved = np.zeros(6**bits, dtype=np.uint16)
+
+    def _solve(self, keys: np.ndarray) -> None:
+        """Solve distinct keys."""
+        self._solved[keys] = closest_codes(keys, self.bits, self.mode) + 1
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        found = self._solved.take(keys)
+        unsolved = found == 0
+        if unsolved.any():
+            missing = np.asarray(keys)[unsolved]
+            self._solve(np.unique(missing))
+            found[unsolved] = self._solved.take(missing)
+        found -= 1
+        return found
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Every entry, solving the keys not looked up yet."""
+        self._solve(np.flatnonzero(self._solved == 0))
+        return (self._solved - 1).astype(np.uint8)
 
 
 def build_cvm_lut(bits: int, mode: str) -> CvmLut:

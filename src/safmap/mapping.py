@@ -215,7 +215,7 @@ def _engines(layer: LayerWeights, lut):
             f"LUT built for ({lut.bits}-bit, {lut.mode}) cannot map a "
             f"({layer.bits}-bit, {layer.mode}) layer"
         )
-    return lut.map_codes, lut.entries.take
+    return lut.map_codes, lut.lookup
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import copy
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import safmap.harness as harness
+from safmap.faults import count_unmasked
 from safmap.harness import (
     EvalReport,
     REPORT_COLUMNS,
@@ -15,7 +18,15 @@ from safmap.harness import (
     run_sweep,
     trial_masks,
 )
-from safmap.mapping import SCHEME_BITFLIP, SCHEME_CVM, SCHEME_NAIVE, SCHEME_SIGNFLIP, build_layout
+from safmap.mapping import (
+    SCHEME_BITFLIP,
+    SCHEME_CVM,
+    SCHEME_NAIVE,
+    SCHEME_SIGNFLIP,
+    SCHEMES,
+    build_layout,
+    mapping_error,
+)
 from safmap.toymodel import ToyModel, make_blob_dataset, quantize_model, quantized_predict, train_toy
 
 
@@ -114,6 +125,62 @@ def test_parallel_jobs_match_serial(model):
     for ra, rb in zip(serial.results, parallel.results):
         assert ra.mean_acc == rb.mean_acc
         assert ra.mean_abs_weight_err == rb.mean_abs_weight_err
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_matches_trials_mapped_alone(model, jobs):
+    """Batched mapping over the trials gives the rows of every trial mapped
+    alone with the direct engine, every column but the wall clock."""
+    spec = SweepSpec(rates=(0.0, 0.05), trials=3, schemes=SCHEMES, base_seed=5, jobs=jobs)
+    _, _, x_test, y_test = make_blob_dataset(0)
+    qmodel = quantize_model(model, spec.weight_bits, spec.act_bits)
+    layers = layer_weight_matrices(qmodel)
+    shapes = [(lw.rows, lw.cols, lw.bits) for lw in layers]
+    total_weights = sum(lw.codes.size for lw in layers)
+    want = []
+    for rate in spec.rates:
+        masks = [trial_masks(spec, t, shapes, rate) for t in range(spec.trials)]
+        unmasked = [
+            sum(count_unmasked(lw.codes, m) for lw, m in zip(layers, ms)) for ms in masks
+        ]
+        for scheme in spec.schemes:
+            accs, errs = [], []
+            for ms in masks:
+                layouts = [
+                    build_layout(scheme, lw, m, spec.row_len, lut=None)
+                    for lw, m in zip(layers, ms)
+                ]
+                labels = run_inference(qmodel, layouts, x_test)
+                accs.append(float((labels == y_test).mean()))
+                errs.append(
+                    sum(mapping_error(lo, lw)[1] for lo, lw in zip(layouts, layers))
+                    / total_weights
+                )
+            want.append(
+                {
+                    "rate": rate,
+                    "scheme": scheme,
+                    "trials": spec.trials,
+                    "mean_acc": float(np.mean(accs)),
+                    "std_acc": float(np.std(accs)),
+                    "mean_abs_weight_err": float(np.mean(errs)),
+                    "mean_unmasked_faults": float(np.mean(unmasked)),
+                }
+            )
+    got = [asdict(row) for row in run_sweep(model, spec).results]
+    for row in got:
+        assert row.pop("map_seconds") >= 0.0
+    assert got == want
+    assert any(row["mean_abs_weight_err"] > 0 for row in want)
+
+
+def test_sweep_does_not_build_the_full_table(model, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_sweep built the full mapping table")
+
+    monkeypatch.setattr(harness, "build_cvm_lut", refuse)
+    report = run_sweep(model, SweepSpec(rates=(0.05,), trials=2, base_seed=3))
+    assert len(report.results) == len(SCHEMES)
 
 
 def test_spec_validation():

@@ -5,10 +5,12 @@ import pytest
 
 from oracle import all_fault_cells, brute_cvm, cell_to_packed
 from safmap.faults import FAULT_FREE as FF, SA0, SA1
+from safmap.faults import packed_from_fault_digits
 from safmap.lut import (
     CvmLut,
     LutFormatError,
     LutMismatchError,
+    OnDemandLut,
     build_cvm_lut,
     load_or_build,
     read_lut,
@@ -20,6 +22,7 @@ from safmap.numfmt import (
     MODE_UNSIGNED as UNSIGNED,
     OutOfRangeError,
     decode,
+    decode_table,
 )
 
 
@@ -166,3 +169,48 @@ def test_n8_build_peak_memory_from_cold_cache(mode):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
+def test_on_demand_table_matches_full_table_on_every_key(bits, mode):
+    full = build_cvm_lut(bits, mode)
+    keys = np.arange(6**bits, dtype=np.uint32)
+    assert np.array_equal(OnDemandLut(bits, mode).lookup(keys), full.lookup(keys))
+    # The same keys as (target, sa0, sa1) triples, through map_codes.
+    code, digits = np.divmod(keys, 3**bits)
+    sa0, sa1 = packed_from_fault_digits(digits, bits)
+    targets = decode_table(bits, mode)[code]
+    got = OnDemandLut(bits, mode).map_codes(targets, sa0, sa1)
+    assert got.dtype == np.uint16
+    assert np.array_equal(got, full.map_codes(targets, sa0, sa1))
+    # Reading every entry solves the keys no lookup has met.
+    partial = OnDemandLut(bits, mode)
+    partial.lookup(keys[::7])
+    assert np.array_equal(partial.entries, full.entries)
+
+
+@pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
+def test_on_demand_table_fills_up_over_calls_n8(mode):
+    full = build_cvm_lut(8, mode)
+    lazy = OnDemandLut(8, mode)
+    rng = np.random.default_rng(9)
+    seen = rng.integers(0, 6**8, size=300)
+    batches = [
+        seen[:200],
+        np.concatenate([seen[::-1], seen[:50]]),  # solved keys, repeats, unsorted
+        rng.permutation(np.concatenate([seen[100:], rng.integers(0, 6**8, size=400)])),
+        rng.integers(0, 6**8, size=(30, 40)).astype(np.uint32),
+        np.empty(0, dtype=np.uint32),
+        seen,
+    ]
+    for keys in batches:
+        got = lazy.lookup(keys)
+        assert got.shape == keys.shape
+        assert np.array_equal(got, full.lookup(keys))
+    code, digits = np.divmod(batches[3], 3**8)
+    sa0, sa1 = packed_from_fault_digits(digits, 8)
+    targets = decode_table(8, mode)[code]
+    assert np.array_equal(
+        lazy.map_codes(targets, sa0, sa1), full.map_codes(targets, sa0, sa1)
+    )

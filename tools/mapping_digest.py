@@ -18,7 +18,10 @@ passes over the distinct keys of its faulty weights), so a run takes about
 ``mvm_simulate_batch`` on every small layout with seeded activation
 batches in both decoding modes; the sweep line hashes one small
 ``run_sweep`` report of the seed-0 toy model, without the wall-clock
-``map_seconds`` column; the table line hashes the entry bytes of
+``map_seconds`` column (the sweep maps its 2 trials per rate stacked side
+by side, one ``build_layout`` call per scheme and layer, through a table
+solved on demand, so an equal line means batched mapping is exact); the
+table line hashes the entry bytes of
 ``build_cvm_lut`` for widths 1-8, unsigned then two's complement per width,
 so equal digests mean byte-identical table files.
 """
