@@ -56,7 +56,7 @@ def _load_weights(path: str, bits: int, mode: str) -> LayerWeights:
     rows, cols, values = numfmt.json_fields(
         json.loads(Path(path).read_text()), "weights", rows=int, cols=int, values=list
     )
-    values = numfmt.json_int_array(
+    values = numfmt.json_array(
         values, "weights", "values", (rows, cols), *numfmt.value_range(bits, mode)
     )
     return LayerWeights.from_values(values, bits, mode)

@@ -75,12 +75,8 @@ class ActivationVector:
     def __post_init__(self) -> None:
         numfmt.check_width(self.bits)
         numfmt.check_mode(self.mode)
-        values = np.asarray(self.values, dtype=np.int64)
         lo, hi = numfmt.value_range(self.bits, self.mode)
-        if values.size and (values.min() < lo or values.max() > hi):
-            raise numfmt.OutOfRangeError(
-                f"activation outside [{lo}, {hi}] for {self.bits}-bit {self.mode}"
-            )
+        values = numfmt.int_array(self.values, "activations", lo, hi, np.int64)
         object.__setattr__(self, "values", values)
 
     def codes(self) -> np.ndarray:
@@ -95,7 +91,7 @@ class ActivationVector:
             obj, "activations", values=list, m=int, mode=str
         )
         lo, hi = numfmt.value_range(bits, mode)
-        values = numfmt.json_int_array(
+        values = numfmt.json_array(
             values, "activations", "values", (len(values),), lo, hi
         )
         return cls(values=values, bits=bits, mode=mode)
@@ -122,7 +118,8 @@ def mvm_simulate_batch(
 ) -> np.ndarray:
     """Simulate a batch of activation vectors; ``act_codes`` is (B, M) raw
     m-bit patterns, each in [0, 2**m).  Returns (B, K) integer outputs."""
-    act_codes = np.asarray(act_codes, dtype=np.int64)
+    n, m = cfg.weight_bits, cfg.activation_bits
+    act_codes = numfmt.int_array(act_codes, "activation codes", 0, (1 << m) - 1, np.int64)
     if act_codes.ndim != 2 or act_codes.shape[1] != layout.rows:
         raise DimensionMismatchError(
             f"activation batch {act_codes.shape} does not match "
@@ -132,11 +129,6 @@ def mvm_simulate_batch(
         raise DimensionMismatchError("layout precision does not match config")
     if layout.row_len != cfg.row_len:
         raise DimensionMismatchError("layout row_len does not match config")
-    n, m = cfg.weight_bits, cfg.activation_bits
-    if act_codes.size and (act_codes.min() < 0 or act_codes.max() >= 1 << m):
-        raise numfmt.OutOfRangeError(
-            f"activation codes must lie in [0, {(1 << m) - 1}] for m = {m}"
-        )
 
     batch, cols = act_codes.shape[0], layout.cols
     # Plane weights: the decoded value of each one-hot code.
@@ -177,5 +169,5 @@ def mvm_simulate(
     """Simulate one activation vector through the mapped layer."""
     if activations.bits != cfg.activation_bits or activations.mode != cfg.activation_mode:
         raise DimensionMismatchError("activation precision does not match config")
-    codes = activations.codes().astype(np.int64)[None, :]
+    codes = activations.codes()[None, :]
     return mvm_simulate_batch(layout, codes, cfg)[0]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numfmt import check_width, json_fields, json_int_array
+from .numfmt import check_width, int_array, json_array, json_fields
 
 SA0 = -1
 FAULT_FREE = 0
@@ -60,12 +60,10 @@ class SafMask:
     cells: np.ndarray  # int8, shape (M, K, n), entries in {-1, 0, +1}
 
     def __post_init__(self) -> None:
-        self.cells = np.asarray(self.cells, dtype=np.int8)
+        self.cells = int_array(self.cells, "fault mask cells", SA0, SA1, np.int8)
         if self.cells.ndim != 3:
             raise ValueError("mask must have shape (rows, cols, bits)")
         check_width(self.cells.shape[2])
-        if self.cells.size and (self.cells.min() < SA0 or self.cells.max() > SA1):
-            raise ValueError("mask entries must be -1, 0 or +1")
 
     @property
     def rows(self) -> int:
@@ -105,9 +103,7 @@ class SafMask:
         *shape, data = json_fields(
             obj, "fault mask", rows=int, cols=int, bits=int, data=list
         )
-        cells = json_int_array(
-            data, "fault mask", "data", tuple(shape), SA0, SA1, np.int8
-        )
+        cells = json_array(data, "fault mask", "data", tuple(shape), SA0, SA1, np.int8)
         return cls(cells=cells)
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:

@@ -38,8 +38,9 @@ from .numfmt import (
     clamp_array,
     decode_array,
     decode_table,
+    int_array,
+    json_array,
     json_fields,
-    json_int_array,
 )
 
 SCHEME_NAIVE = "naive"
@@ -69,11 +70,10 @@ class LayerWeights:
     def __post_init__(self) -> None:
         numfmt.check_width(self.bits)
         numfmt.check_mode(self.mode)
-        codes = np.asarray(self.codes, dtype=np.uint16)
+        hi = (1 << self.bits) - 1
+        codes = int_array(self.codes, "weight codes", 0, hi, np.uint16)
         if codes.ndim != 2:
             raise ValueError("weight codes must be an M x K matrix")
-        if codes.size and codes.max() >= (1 << self.bits):
-            raise numfmt.OutOfRangeError("weight code exceeds bit width")
         object.__setattr__(self, "codes", codes)
 
     @classmethod
@@ -240,27 +240,21 @@ class MappedLayout:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         numfmt.check_width(self.bits)
         numfmt.check_mode(self.mode)
-        stored = numfmt.int_array(self.stored, "stored")
-        if stored.ndim != 2:
+        hi = (1 << self.bits) - 1
+        self.stored = int_array(self.stored, "stored", 0, hi, np.uint16)
+        if self.stored.ndim != 2:
             raise ValueError("stored codes must be an M x K matrix")
-        if stored.size and (stored.min() < 0 or stored.max() >= 1 << self.bits):
-            raise numfmt.OutOfRangeError(
-                f"stored codes must lie in [0, {(1 << self.bits) - 1}]"
-            )
-        self.stored = stored.astype(np.uint16)
         chunks = self.geometry.num_chunks
         for name, shape, scheme in (
             ("col_flip", (chunks, self.cols), SCHEME_SIGNFLIP),
             ("b_flip", (self.bits, chunks, self.cols), SCHEME_BITFLIP),
         ):
-            flips = numfmt.int_array(getattr(self, name), name)
+            flips = int_array(getattr(self, name), name, 0, 1, np.uint8)
             if flips.shape != shape:
                 raise ValueError(f"{name} has shape {flips.shape}, expected {shape}")
-            if flips.size and (flips.min() < 0 or flips.max() > 1):
-                raise ValueError(f"{name} entries must be 0 or 1")
             if flips.any() and self.scheme != scheme:
                 raise ValueError(f"{name} may be set only in a {scheme} layout")
-            setattr(self, name, flips.astype(np.uint8))
+            setattr(self, name, flips)
 
     @property
     def rows(self) -> int:
@@ -321,13 +315,13 @@ class MappedLayout:
             bits=bits,
             mode=mode,
             row_len=row_len,
-            stored=json_int_array(
+            stored=json_array(
                 stored, "layout", "stored", (rows, cols), 0, (1 << bits) - 1, np.uint16
             ),
-            col_flip=json_int_array(
+            col_flip=json_array(
                 col_flip, "layout", "col_flip", (chunks, cols), 0, 1, np.uint8
             ),
-            b_flip=json_int_array(
+            b_flip=json_array(
                 b_flip, "layout", "b_flip", (bits, chunks, cols), 0, 1, np.uint8
             ),
         )

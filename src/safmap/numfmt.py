@@ -1,4 +1,5 @@
-"""Fixed-precision integer codes, their decoding tables, and typed JSON fields.
+"""Fixed-precision integer codes, their decoding tables, typed JSON fields,
+and the one reader each for JSON number arrays and in-memory integer arrays.
 
 A stored code is a raw unsigned n-bit pattern (``0 <= bits < 2**width``);
 whether it denotes an unsigned or a two's-complement value is a decode-time
@@ -8,7 +9,9 @@ package (flip masks, table keys, per-slice masks).
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 
 import numpy as np
 
@@ -73,11 +76,25 @@ def json_fields(obj, what: str, **types: type) -> tuple:
     return tuple(obj[key] for key in types)
 
 
-def int_array(values, what: str) -> np.ndarray:
-    """``values`` as a numpy integer array.  Anything numpy does not read as
-    integers (floats, null, ragged nesting, integers wider than 64 bits,
-    booleans alone) is a ValueError naming ``what``.  Empty is legal,
-    although numpy reads an empty list as float64."""
+def _out_of_range(name: str, flat, lo, hi, offset: int = 0) -> OutOfRangeError:
+    """The error for the first element of ``flat`` outside [lo, hi] (NaN
+    included), found by a scan that runs only once a range check failed."""
+    i = next(i for i, v in enumerate(flat) if not lo <= v <= hi)
+    if lo == -hi == -sys.float_info.max:
+        allowed = "finite numbers"
+    else:
+        allowed = f"{lo} or {hi}" if hi == lo + 1 else f"integers in [{lo}, {hi}]"
+    return OutOfRangeError(
+        f"{name} element {offset + i} is {json.dumps(flat[i])}; entries must be {allowed}"
+    )
+
+
+def int_array(values, what: str, lo: int, hi: int, dtype) -> np.ndarray:
+    """In-memory ``values`` as a ``dtype`` array.  Anything numpy does not
+    read as integers (floats, null, ragged nesting, integers wider than 64
+    bits, booleans alone) is a ValueError naming ``what``, and a value
+    outside [lo, hi] an OutOfRangeError, checked before narrowing.  Empty is
+    legal, although numpy reads an empty list as float64."""
     try:
         array = np.asarray(values)
     except ValueError:
@@ -86,18 +103,21 @@ def int_array(values, what: str) -> np.ndarray:
         raise ValueError(
             f"{what} must hold integers of at most 64 bits, got {array.dtype}"
         )
-    return array
+    if array.size and (array.min() < lo or array.max() > hi):
+        raise _out_of_range(what, array.ravel().tolist(), lo, hi)
+    return array.astype(dtype, copy=False)
 
 
-def json_int_array(
-    values: list, what: str, key: str, shape: tuple, lo: int, hi: int, dtype=np.int64
+def json_array(
+    values: list, what: str, key: str, shape: tuple, lo, hi, dtype=np.int64
 ) -> np.ndarray:
-    """A JSON array of integers in [lo, hi] as a ``dtype`` array of ``shape``.
+    """A flat JSON array of numbers in [lo, hi] as a ``dtype`` array of ``shape``.
 
-    A length other than the shape's size, an element that is not an integer
-    or one outside [lo, hi] is a ValueError naming the file kind and key.
-    The range is checked before narrowing to ``dtype``, and the list is
-    converted in blocks, so a large file never has a full int64 copy.
+    Elements must be JSON integers, or integers and floats for a float
+    ``dtype`` (whose range -/+``sys.float_info.max`` rejects NaN and
+    Infinity); never ``true``/``false``.  A wrong length or element is a
+    ValueError naming the file kind, key and element index.  The list is
+    converted in blocks, checked before narrowing, so no full int64 copy.
     """
     name = f"{what} key {key!r}"
     if min(shape, default=0) < 0:
@@ -107,14 +127,24 @@ def json_int_array(
         raise ValueError(
             f"{name} holds {len(values)} values, expected {size} for shape {shape}"
         )
+    floats = np.dtype(dtype).kind == "f"
+    allowed, wide = ({int, float}, np.float64) if floats else ({int}, np.int64)
     out = np.empty(size, dtype=dtype)
     for start in range(0, size, _JSON_BLOCK):
-        block = int_array(values[start : start + _JSON_BLOCK], name)
-        if block.ndim != 1:
-            raise ValueError(f"{name} must be a flat array of integers")
-        if block.min() < lo or block.max() > hi:
-            raise ValueError(f"{name} entries must lie in [{lo}, {hi}]")
-        out[start : start + block.size] = block
+        block = values[start : start + _JSON_BLOCK]
+        if not set(map(type, block)) <= allowed:
+            i = next(i for i, v in enumerate(block) if type(v) not in allowed)
+            raise ValueError(
+                f"{name} must be a flat array of {'numbers' if floats else 'integers'}"
+                f": element {start + i} is {json.dumps(block[i])}"
+            )
+        try:
+            array = np.fromiter(block, dtype=wide, count=len(block))
+        except OverflowError:  # beyond int64 or float64, so outside [lo, hi]
+            raise _out_of_range(name, block, lo, hi, start) from None
+        if not (lo <= array.min() and array.max() <= hi):  # False for NaN
+            raise _out_of_range(name, block, lo, hi, start)
+        out[start : start + len(block)] = array
     return out.reshape(shape)
 
 
@@ -148,11 +178,7 @@ def encode_array(values: np.ndarray, width: int, mode: str) -> np.ndarray:
     """Raw patterns of decoded values, inverse of :func:`decode_array`;
     raises OutOfRangeError if any value is not representable."""
     lo, hi = value_range(width, mode)
-    values = np.asarray(values, dtype=np.int64)
-    if values.size and (values.min() < lo or values.max() > hi):
-        raise OutOfRangeError(
-            f"values outside [{lo}, {hi}] for {width}-bit {mode}"
-        )
+    values = int_array(values, f"{width}-bit {mode} values", lo, hi, np.int64)
     return (values & ((1 << width) - 1)).astype(np.uint16)
 
 

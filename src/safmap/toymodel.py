@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, json_fields
+from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, json_array, json_fields
 from .quant import QuantizedTensor, quantize
 
 # The blob task and the MLP's training schedule.
@@ -29,19 +29,8 @@ _HIDDEN = 32
 _EPOCHS = 400
 _LEARNING_RATE = 0.05
 _ACCURACY_FLOOR = 0.95
-
-
-def _finite_floats(values: list, name: str) -> np.ndarray:
-    """A JSON array of finite numbers as float64.  Any other element --
-    ``true``/``false``, null, a string, an array or object, or the NaN and
-    Infinity that ``json.loads`` accepts -- is a ValueError naming ``name``."""
-    top = sys.float_info.max
-    for i, value in enumerate(values):
-        if type(value) not in (int, float) or not -top <= value <= top:
-            raise ValueError(
-                f"{name} element {i} must be a finite number, not {json.dumps(value)}"
-            )
-    return np.asarray(values, dtype=np.float64)
+# Model arrays accept any finite JSON number.
+_FINITE = sys.float_info.max
 
 
 class TrainingDivergedError(RuntimeError):
@@ -111,22 +100,13 @@ class ToyModel:
                     else f"model key 'input_dim' is {input_dim}, but layer 0 "
                     f"has {rows} rows"
                 )
-            for key, values, size in (
-                ("weights", weights, rows * cols), ("bias", bias, cols)
-            ):
-                if len(values) != size:
-                    raise ValueError(
-                        f"{what} key {key!r} holds {len(values)} values, "
-                        f"expected {size}"
-                    )
-            weights = _finite_floats(weights, f"{what} key 'weights'")
-            layers.append(
-                DenseLayer(
-                    weights=weights.reshape(rows, cols),
-                    bias=_finite_floats(bias, f"{what} key 'bias'"),
-                    relu=relu,
+            weights, bias = (
+                json_array(values, what, key, shape, -_FINITE, _FINITE, np.float64)
+                for key, values, shape in (
+                    ("weights", weights, (rows, cols)), ("bias", bias, (cols,))
                 )
             )
+            layers.append(DenseLayer(weights=weights, bias=bias, relu=relu))
             width = cols
         if classes != width:
             raise ValueError(

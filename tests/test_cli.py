@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safmap.cli import main, parse_rates
 from safmap.faults import SafMask
@@ -251,6 +256,11 @@ BAD_FILES = [
     ("model layer", "weights", First(float("nan"))),
     ("model layer", "bias", First(float("inf"))),
     ("model layer", "bias", First(float("-inf"))),
+    ("mask", "data", [True, 0, 0, 0, 0, 0, 0, 0]),
+    ("weights", "values", [True, -2]),
+    ("activations", "values", [1, False]),
+    ("layout", "stored", [True, 0]),
+    ("layout", "b_flip", [True, 0, 0, 0]),
 ]
 
 
@@ -301,4 +311,66 @@ def test_missing_json_key_is_runtime_error(tmp_path, capsys, kind, key, value):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and repr(key) in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A 2x1 4-bit weights file, its fault-free mask, the cvm layout of the
+    two and a 4-bit unsigned activations file, as (paths, parsed files)."""
+    root = tmp_path_factory.mktemp("files")
+    kinds = ("weights", "mask", "activations", "layout")
+    paths = {kind: root / f"{kind}.json" for kind in kinds}
+    write_weights(paths["weights"], [[3], [-2]])
+    paths["activations"].write_text(
+        json.dumps({"m": 4, "mode": "unsigned", "values": [1, 2]})
+    )
+    assert main(["inject", "--rows", "2", "--cols", "1", "--bits", "4",
+                 "--rate", "0", "--out", str(paths["mask"])]) == 0
+    assert main(["map", "--scheme", "cvm", "--weights", str(paths["weights"]),
+                 "--mask", str(paths["mask"]), "--bits", "4", "--row-len", "2",
+                 "--out", str(paths["layout"])]) == 0
+    return paths, {kind: json.loads(path.read_text()) for kind, path in paths.items()}
+
+
+# The array key of each file kind and the range of its elements.
+ARRAY_KEYS = {"mask": ("data", -1, 1), "weights": ("values", -8, 7),
+              "activations": ("values", 0, 15)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(ARRAY_KEYS)),
+    position=st.integers(0, 7),
+    bad=st.sampled_from([True, 0.5, None, "1", [0], "past", 2**64]),
+    high=st.booleans(),
+)
+def test_bad_array_element_is_one_line_naming_it(valid_files, kind, position, bad, high):
+    """Any one bad element of a mask, weights or activations array is a
+    one-line error naming the key and the element's index."""
+    paths, files = valid_files
+    key, lo, hi = ARRAY_KEYS[kind]
+    obj = json.loads(json.dumps(files[kind]))
+    position %= len(obj[key])
+    if bad == "past":
+        bad = hi + 1 if high else lo - 1
+    obj[key][position] = bad
+    bad_path = paths[kind].with_name(f"bad-{kind}.json")
+    bad_path.write_text(json.dumps(obj))
+    out = bad_path.with_name("out.json")
+    if kind == "activations":
+        argv = ["mvm", "--layout", str(paths["layout"]),
+                "--activations", str(bad_path), "--out", str(out)]
+    else:
+        inputs = {"weights": paths["weights"], "mask": paths["mask"], kind: bad_path}
+        argv = ["map", "--scheme", "cvm", "--weights", str(inputs["weights"]),
+                "--mask", str(inputs["mask"]), "--bits", "4", "--row-len", "2",
+                "--out", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code == 1
+    assert err.count("\n") == 1 and repr(key) in err
+    assert re.search(rf"\belement {position}\b", err)
     assert "Traceback" not in err

@@ -344,3 +344,13 @@ def test_simulator_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 14 * 2**20
+
+
+def test_activations_reject_values_they_would_truncate():
+    with pytest.raises(ValueError):
+        ActivationVector(np.array([1.7, 2]), 4, UNSIGNED)
+    layout = flip_layout(SCHEME_NAIVE, np.ones((2, 1), dtype=int), 4, TWOS, 2)
+    cfg = CrossbarConfig(row_len=2, weight_bits=4, activation_bits=4)
+    assert mvm_simulate_batch(layout, np.array([[1, 2]]), cfg).tolist() == [[3]]
+    with pytest.raises(ValueError):
+        mvm_simulate_batch(layout, np.array([[1.5, 2.0]]), cfg)

@@ -20,6 +20,7 @@ from safmap.faults import (
     packed_from_fault_digits,
     transform_packed_for_flip,
 )
+from safmap.numfmt import OutOfRangeError
 
 
 def packed(cell) -> tuple[np.ndarray, np.ndarray]:
@@ -182,3 +183,14 @@ def test_json_round_trip_any_mask(rows, cols, bits, seed):
     mask = SafMask(cells)
     loaded = SafMask.from_json_dict(json.loads(json.dumps(mask.to_json_dict())))
     assert np.array_equal(loaded.cells, mask.cells)
+
+
+@pytest.mark.parametrize(
+    "cells, error",
+    [(np.full((1, 1, 1), 255), OutOfRangeError), (np.full((1, 1, 1), 0.6), ValueError)],
+    ids=["int64-255", "float-0.6"],
+)
+def test_mask_rejects_cells_it_would_narrow(cells, error):
+    # 255 would wrap to int8 -1 (stuck-at-0), 0.6 would truncate to 0.
+    with pytest.raises(error):
+        SafMask(cells)

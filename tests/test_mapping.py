@@ -41,6 +41,7 @@ from safmap.mapping import (
 from safmap.numfmt import (
     MODE_TWOS_COMPLEMENT as TWOS,
     MODE_UNSIGNED as UNSIGNED,
+    OutOfRangeError,
     decode_table,
     encode_array,
     value_range,
@@ -530,3 +531,14 @@ def test_shape_mismatch_rejected():
     mask = SafMask(np.zeros((3, 1, 4), dtype=np.int8))
     with pytest.raises(ValueError):
         build_layout(SCHEME_CVM, layer, mask, 1)
+
+
+@pytest.mark.parametrize(
+    "codes, error",
+    [([[3.7]], ValueError), ([[65537]], OutOfRangeError)],
+    ids=["float-3.7", "int64-65537"],
+)
+def test_layer_weights_reject_codes_they_would_narrow(codes, error):
+    # 3.7 would truncate to 3, 65537 would wrap to uint16 1.
+    with pytest.raises(error):
+        LayerWeights(np.array(codes), 4, UNSIGNED)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -71,7 +73,7 @@ def test_array_helpers_match_scalars():
 
 def test_json_int_array_examples():
     def read(values, shape, lo=-1, hi=1, dtype=np.int8):
-        return numfmt.json_int_array(values, "fault mask", "data", shape, lo, hi, dtype)
+        return numfmt.json_array(values, "fault mask", "data", shape, lo, hi, dtype)
 
     got = read([1, 0, -1, 0], (2, 2))
     assert got.dtype == np.int8 and got.tolist() == [[1, 0], [-1, 0]]
@@ -94,3 +96,30 @@ def test_json_int_array_examples():
         with pytest.raises(ValueError, match=match) as info:
             read(values, shape)
         assert "fault mask key 'data'" in str(info.value)
+
+
+def test_encode_rejects_non_integers():
+    with pytest.raises(ValueError, match="integers"):
+        encode_array([3.7], 4, UNSIGNED)
+
+
+@pytest.mark.parametrize("values, index", [([True, 0], 0), ([0, False], 1)])
+def test_json_array_rejects_mixed_booleans(values, index):
+    # numpy alone reads [true, 0] as the integers [1, 0].
+    with pytest.raises(ValueError, match=rf"integers: element {index} is (true|false)"):
+        numfmt.json_array(values, "fault mask", "data", (2,), -1, 1, np.int8)
+
+
+def test_json_array_of_floats_takes_any_finite_number():
+    top = sys.float_info.max
+
+    def read(values):
+        return numfmt.json_array(
+            values, "model layer 0", "bias", (2,), -top, top, np.float64
+        )
+
+    assert read([1, -2.5]).tolist() == [1.0, -2.5]
+    for values, index in (([0, True], 1), ([float("nan"), 0], 0),
+                          ([0, float("-inf")], 1), ([10**400, 0], 0), ([None, 0], 0)):
+        with pytest.raises(ValueError, match=rf"model layer 0 key 'bias'.* element {index} "):
+            read(values)

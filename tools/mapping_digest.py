@@ -3,8 +3,9 @@
 Run it once per source tree and compare the printed lines; equal digests
 mean bit-identical ``stored``, ``col_flip``, ``b_flip``, effective values
 and mapping error for every scheme, with the table and with the direct
-enumeration engine, bit-identical crossbar simulator outputs, and an
-identical Monte Carlo sweep report:
+enumeration engine, bit-identical crossbar simulator outputs, an identical
+Monte Carlo sweep report, and identical arrays read back from every JSON
+file format:
 
     PYTHONPATH=src python tools/mapping_digest.py > new.txt
     PYTHONPATH=<other checkout>/src python tools/mapping_digest.py > old.txt
@@ -14,8 +15,8 @@ Cases: 240 random small layers (1-5 bits, both decoding modes, random
 shape, row length and fault rate) and one 512x512 8-bit layer at 5%
 faults.  The large case runs the direct bit-flip search (256 enumeration
 passes over the distinct keys of its faulty weights), so a run takes about
-9 s on a 2-vCPU shared Xeon host (Python 3.11, numpy 2.4).  The simulator line runs
-``mvm_simulate_batch`` on every small layout with seeded activation
+10 s on a 2-vCPU shared Xeon host (Python 3.11, numpy 2.4).  The simulator line
+runs ``mvm_simulate_batch`` on every small layout with seeded activation
 batches in both decoding modes; the sweep line hashes one small
 ``run_sweep`` report of the seed-0 toy model, without the wall-clock
 ``map_seconds`` column (the sweep maps its 2 trials per rate stacked side
@@ -23,7 +24,11 @@ by side, one ``build_layout`` call per scheme and layer, through a table
 solved on demand, so an equal line means batched mapping is exact); the
 table line hashes the entry bytes of
 ``build_cvm_lut`` for widths 1-8, unsigned then two's complement per width,
-so equal digests mean byte-identical table files.
+so equal digests mean byte-identical table files.  The JSON line hashes
+the dtype, shape and bytes of every array after a ``to_json_dict`` -> text
+-> ``from_json_dict`` round trip of every small case's mask and layouts,
+seeded activation vectors of every width in both decoding modes, and the
+seed-0 toy model.
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ import json
 
 import numpy as np
 
-from safmap.crossbar import CrossbarConfig, mvm_simulate_batch
+from safmap.crossbar import ActivationVector, CrossbarConfig, mvm_simulate_batch
 from safmap.faults import sample_saf_mask
 from safmap.harness import SweepSpec, run_sweep
 from safmap.lut import build_cvm_lut
 from safmap.mapping import SCHEMES, LayerWeights, build_layout, mapping_error
-from safmap.numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED
+from safmap.numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, value_range
 from safmap.toymodel import train_toy
 
 
@@ -129,6 +134,44 @@ def lut_digest() -> str:
     return h.hexdigest()
 
 
+def json_digest() -> str:
+    """Arrays of every file format after a JSON text round trip."""
+    h = hashlib.sha256()
+
+    def round_trip(obj):
+        text = json.dumps(obj.to_json_dict())
+        return type(obj).from_json_dict(json.loads(text))
+
+    def update(*arrays):
+        for array in map(np.asarray, arrays):
+            h.update(f"{array.dtype.str} {array.shape}".encode())
+            h.update(np.ascontiguousarray(array).tobytes())
+
+    for layer, mask, row_len in small_cases():
+        update(round_trip(mask).cells)
+        for scheme in SCHEMES:
+            if scheme == "signflip" and layer.mode == MODE_UNSIGNED:
+                continue
+            layout = round_trip(build_layout(scheme, layer, mask, row_len))
+            fields = (layout.scheme, layout.bits, layout.mode, layout.row_len)
+            h.update(repr(fields).encode())
+            update(layout.stored, layout.col_flip, layout.b_flip)
+    rng = np.random.default_rng(8192)
+    for bits in range(1, 9):
+        for mode in (MODE_UNSIGNED, MODE_TWOS_COMPLEMENT):
+            lo, hi = value_range(bits, mode)
+            values = rng.integers(lo, hi + 1, size=int(rng.integers(1, 13)))
+            acts = round_trip(ActivationVector(values, bits, mode))
+            h.update(f"{acts.bits} {acts.mode}".encode())
+            update(acts.values, acts.codes())
+    model = round_trip(train_toy(seed=0))
+    h.update(f"{model.input_dim} {model.classes}".encode())
+    for layer in model.layers:
+        h.update(f"{layer.relu}".encode())
+        update(layer.weights, layer.bias)
+    return h.hexdigest()
+
+
 def main() -> None:
     for name, cases in (("small", small_cases), ("512x512", large_case)):
         for engine in ("lut", "direct"):
@@ -136,6 +179,7 @@ def main() -> None:
     print(f"{'small':8s} {'mvm':6s} {mvm_digest(small_cases())}")
     print(f"{'sweep':8s} {'report':6s} {sweep_digest()}")
     print(f"{'lut':8s} {'bytes':6s} {lut_digest()}")
+    print(f"{'json':8s} {'files':6s} {json_digest()}")
 
 
 if __name__ == "__main__":
