@@ -151,6 +151,8 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     model = ToyModel.load(args.model)
     spec = harness.SweepSpec(
         rates=tuple(args.rates),
@@ -161,7 +163,6 @@ def cmd_eval(args) -> int:
         row_len=args.row_len,
         weight_bits=args.bits,
         act_bits=args.act_bits,
-        jobs=args.jobs,
     )
     report = harness.run_sweep(model, spec, dataset_seed=args.dataset_seed)
     report.config["tool"] = f"safmap {__version__}"
@@ -316,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row-len", type=int, default=64)
     p.add_argument("--bits", type=_width, default=8)
     p.add_argument("--act-bits", type=_width, default=8)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; it has no effect")
     p.add_argument("--out", required=True, help="report JSON path (CSV twin beside it)")
     p.set_defaults(func=cmd_eval)
 

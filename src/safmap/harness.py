@@ -11,12 +11,10 @@ trial means only.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -36,7 +34,13 @@ from .mapping import (
 )
 from .numfmt import MODE_TWOS_COMPLEMENT, encode_array
 from .quant import quantize
-from .toymodel import QuantizedModel, ToyModel, make_blob_dataset, quantize_model
+from .toymodel import (
+    QuantizedModel,
+    ToyModel,
+    make_blob_dataset,
+    quantize_model,
+    quantized_predict,
+)
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -50,7 +54,6 @@ class SweepSpec:
     row_len: int = 64
     weight_bits: int = 8
     act_bits: int = 8
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -60,8 +63,6 @@ class SweepSpec:
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass
@@ -153,20 +154,6 @@ def trial_masks(
     ]
 
 
-def _trial_block(layout: MappedLayout, trial: int, cols: int) -> MappedLayout:
-    """One trial's columns of a layout mapped with the trials side by side."""
-    block = slice(trial * cols, (trial + 1) * cols)
-    return MappedLayout(
-        scheme=layout.scheme,
-        bits=layout.bits,
-        mode=layout.mode,
-        row_len=layout.row_len,
-        stored=layout.stored[:, block],
-        col_flip=layout.col_flip[:, block],
-        b_flip=layout.b_flip[:, :, block],
-    )
-
-
 def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalReport:
     """Paired Monte Carlo sweep over (fault rate, scheme).
 
@@ -177,9 +164,15 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
     gets when mapped alone.  The closest-value table is solved on demand
     (:class:`safmap.lut.OnDemandLut`), for the keys the sweep meets only;
     ``map_seconds`` is each trial's share of its rate's batched mapping
-    time.  With ``jobs > 1`` the per-trial part (splitting the layouts,
-    mapping error and inference) runs on a thread pool; mapping stays on
-    the calling thread, because lookups fill the table.
+    time.
+
+    Each trial is scored from its column block of the stacked layouts,
+    without the crossbar simulator, which equals ``a @ effective_values``
+    by construction: its weight error from the per-(chunk, column) sums of
+    one :func:`safmap.mapping.mapping_error` call per layer, and its
+    accuracy from :func:`safmap.toymodel.quantized_predict` on its block of
+    the layouts' effective weights.  :func:`run_inference` stays the
+    simulator-backed reference.
     """
     if not model.layers:
         raise ValueError("model key 'layers' is empty; a sweep maps at least one layer")
@@ -195,56 +188,45 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
         for lw in layers
     ]
 
-    def score(stacked: list[MappedLayout], trial: int) -> tuple[float, float]:
-        """Accuracy and mean absolute weight error of one trial."""
-        layouts = [
-            _trial_block(layout, trial, lw.cols) for layout, lw in zip(stacked, layers)
-        ]
-        abs_err = sum(
-            mapping_error(layout, lw)[1] for layout, lw in zip(layouts, layers)
-        )
-        labels = run_inference(qmodel, layouts, x_test)
-        return float((labels == y_test).mean()), abs_err / total_weights
-
     results: list[ResultRow] = []
-    with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-        each = pool.map if spec.jobs > 1 else map
-        for rate in spec.rates:
-            masks = [trial_masks(spec, t, shapes, rate) for t in range(spec.trials)]
-            unmasked = [
-                sum(count_unmasked(lw.codes, m) for lw, m in zip(layers, ms))
-                for ms in masks
+    for rate in spec.rates:
+        masks = [trial_masks(spec, t, shapes, rate) for t in range(spec.trials)]
+        unmasked = [
+            sum(count_unmasked(lw.codes, m) for lw, m in zip(layers, ms))
+            for ms in masks
+        ]
+        stacked_masks = [
+            SafMask(np.concatenate([ms[i].cells for ms in masks], axis=1))
+            for i in range(len(layers))
+        ]
+        for scheme in spec.schemes:
+            start = time.perf_counter()
+            stacked = [
+                build_layout(scheme, lw, mask, spec.row_len, lut=lut)
+                for lw, mask in zip(tiled, stacked_masks)
             ]
-            stacked_masks = [
-                SafMask(np.concatenate([ms[i].cells for ms in masks], axis=1))
-                for i in range(len(layers))
+            map_seconds = (time.perf_counter() - start) / spec.trials
+            abs_err = 0
+            for layout, target, lw in zip(stacked, tiled, layers):
+                sums = mapping_error(layout, target)[0]
+                abs_err += sums.reshape(len(sums), spec.trials, lw.cols).sum(axis=(0, 2))
+            blocks = [np.hsplit(layout.effective_values(), spec.trials) for layout in stacked]
+            accs = [
+                float((quantized_predict(qmodel, x_test, weights) == y_test).mean())
+                for weights in zip(*blocks)
             ]
-            scored = {}
-            for scheme in spec.schemes:
-                start = time.perf_counter()
-                stacked = [
-                    build_layout(scheme, lw, mask, spec.row_len, lut=lut)
-                    for lw, mask in zip(tiled, stacked_masks)
-                ]
-                map_seconds = (time.perf_counter() - start) / spec.trials
-                # The pool starts scoring while the next scheme is mapped.
-                scored[scheme] = map_seconds, each(
-                    functools.partial(score, stacked), range(spec.trials)
+            results.append(
+                ResultRow(
+                    rate=rate,
+                    scheme=scheme,
+                    trials=spec.trials,
+                    mean_acc=float(np.mean(accs)),
+                    std_acc=float(np.std(accs)),
+                    mean_abs_weight_err=float(np.mean(abs_err / total_weights)),
+                    mean_unmasked_faults=float(np.mean(unmasked)),
+                    map_seconds=map_seconds,
                 )
-            for scheme, (map_seconds, per_trial) in scored.items():
-                accs, errs = zip(*per_trial)
-                results.append(
-                    ResultRow(
-                        rate=rate,
-                        scheme=scheme,
-                        trials=spec.trials,
-                        mean_acc=float(np.mean(accs)),
-                        std_acc=float(np.std(accs)),
-                        mean_abs_weight_err=float(np.mean(errs)),
-                        mean_unmasked_faults=float(np.mean(unmasked)),
-                        map_seconds=map_seconds,
-                    )
-                )
+            )
 
     config = {
         "rates": list(spec.rates),
@@ -263,8 +245,6 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
 
 def quantized_baseline_accuracy(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> float:
     """Accuracy of fault-free integer inference (the rate-0 reference)."""
-    from .toymodel import quantized_predict
-
     _, _, x_test, y_test = make_blob_dataset(dataset_seed)
     qmodel = quantize_model(model, spec.weight_bits, spec.act_bits)
     return float((quantized_predict(qmodel, x_test) == y_test).mean())

@@ -22,6 +22,8 @@ MODES = (MODE_UNSIGNED, MODE_TWOS_COMPLEMENT)
 MAX_BITS = 8  # larger widths are rejected at configuration load
 # Elements per numpy conversion of a JSON array; bounds the int64 temporaries.
 _JSON_BLOCK = 1 << 16
+# Longest value an error message quotes in full; longer ones are cut.
+_QUOTE_LIMIT = 40
 
 
 class OutOfRangeError(ValueError):
@@ -78,14 +80,18 @@ def json_fields(obj, what: str, **types: type) -> tuple:
 
 def _out_of_range(name: str, flat, lo, hi, offset: int = 0) -> OutOfRangeError:
     """The error for the first element of ``flat`` outside [lo, hi] (NaN
-    included), found by a scan that runs only once a range check failed."""
+    included), found by a scan that runs only once a range check failed.
+    A value too long to quote is cut to its start and its length."""
     i = next(i for i, v in enumerate(flat) if not lo <= v <= hi)
+    text = json.dumps(flat[i])
+    if len(text) > _QUOTE_LIMIT:
+        text = f"{text[:_QUOTE_LIMIT // 2]}... ({len(text)} characters)"
     if lo == -hi == -sys.float_info.max:
         allowed = "finite numbers"
     else:
         allowed = f"{lo} or {hi}" if hi == lo + 1 else f"integers in [{lo}, {hi}]"
     return OutOfRangeError(
-        f"{name} element {offset + i} is {json.dumps(flat[i])}; entries must be {allowed}"
+        f"{name} element {offset + i} is {text}; entries must be {allowed}"
     )
 
 
@@ -100,9 +106,9 @@ def int_array(values, what: str, lo: int, hi: int, dtype) -> np.ndarray:
     except ValueError:
         raise ValueError(f"{what} must hold integers, not ragged lists") from None
     if array.size and array.dtype.kind not in "iu":
-        raise ValueError(
-            f"{what} must hold integers of at most 64 bits, got {array.dtype}"
-        )
+        # numpy gives integers wider than 64 bits the object dtype.
+        wide = " of at most 64 bits" if array.dtype.kind == "O" else ""
+        raise ValueError(f"{what} must hold integers{wide}, got {array.dtype}")
     if array.size and (array.min() < lo or array.max() > hi):
         raise _out_of_range(what, array.ravel().tolist(), lo, hi)
     return array.astype(dtype, copy=False)

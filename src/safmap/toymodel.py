@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -240,11 +241,17 @@ def quantize_model(
     return QuantizedModel(layers=layers)
 
 
-def quantized_predict(qmodel: QuantizedModel, x: np.ndarray) -> np.ndarray:
-    """Software reference of integer inference (exact matrix products)."""
-    for layer in qmodel.layers:
+def quantized_predict(
+    qmodel: QuantizedModel, x: np.ndarray, weights: Sequence[np.ndarray] | None = None
+) -> np.ndarray:
+    """Integer inference with exact matrix products.  ``weights`` holds one
+    integer matrix per layer (the effective weights of a mapped layout, say)
+    in place of the layers' quantized codes."""
+    if weights is None:
+        weights = [layer.weights.codes for layer in qmodel.layers]
+    for layer, w in zip(qmodel.layers, weights, strict=True):
         aq = quantize(x, layer.act_bits, layer.act_mode)
-        y_int = aq.codes @ layer.weights.codes
+        y_int = aq.codes @ w
         x = y_int.astype(np.float64) * (aq.scale * layer.weights.scale) + layer.bias
         if layer.relu:
             x = np.maximum(x, 0.0)

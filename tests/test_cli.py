@@ -179,6 +179,18 @@ def test_train_and_eval_round_trip(tmp_path):
     assert csv_lines[0].startswith("rate,scheme,trials,mean_acc")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_eval_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    # --jobs has no effect, but a value below 1 is still refused.
+    report = tmp_path / "report.json"
+    code = main(["eval", "--model", str(tmp_path / "model.json"), "--jobs", jobs,
+                 "--out", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not report.exists()
+
+
 def test_missing_file_is_runtime_error(tmp_path):
     assert main(["lut", "verify", "--lut", str(tmp_path / "nope.lut")]) == 1
 

@@ -116,22 +116,16 @@ def test_sweep_is_deterministic_up_to_timing(model):
     assert strip(a) == strip(b)
 
 
-def test_parallel_jobs_match_serial(model):
-    serial = run_sweep(model, SMALL)
-    parallel = run_sweep(
-        model,
-        SweepSpec(rates=SMALL.rates, trials=SMALL.trials, base_seed=SMALL.base_seed, jobs=2),
-    )
-    for ra, rb in zip(serial.results, parallel.results):
-        assert ra.mean_acc == rb.mean_acc
-        assert ra.mean_abs_weight_err == rb.mean_abs_weight_err
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_sweep_matches_trials_mapped_alone(model, jobs):
+@pytest.mark.parametrize("row_len", [64, 8, 5])
+def test_sweep_matches_trials_mapped_alone(model, row_len):
     """Batched mapping over the trials gives the rows of every trial mapped
-    alone with the direct engine, every column but the wall clock."""
-    spec = SweepSpec(rates=(0.0, 0.05), trials=3, schemes=SCHEMES, base_seed=5, jobs=jobs)
+    alone with the direct engine and run through the crossbar simulator,
+    every column but the wall clock.  The toy layers have 16 and 32 rows:
+    ``row_len`` 8 splits every column into chunks, and 5 leaves a short
+    last chunk."""
+    spec = SweepSpec(
+        rates=(0.0, 0.05), trials=3, schemes=SCHEMES, base_seed=5, row_len=row_len
+    )
     _, _, x_test, y_test = make_blob_dataset(0)
     qmodel = quantize_model(model, spec.weight_bits, spec.act_bits)
     layers = layer_weight_matrices(qmodel)
@@ -183,6 +177,18 @@ def test_sweep_does_not_build_the_full_table(model, monkeypatch):
     assert len(report.results) == len(SCHEMES)
 
 
+def test_sweep_does_not_simulate(model, monkeypatch):
+    """Trials are scored from effective weights, never by the simulator."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_sweep ran the crossbar simulator")
+
+    monkeypatch.setattr(harness, "mvm_simulate_batch", refuse)
+    monkeypatch.setattr(harness, "run_inference", refuse)
+    report = run_sweep(model, SweepSpec(rates=(0.05,), trials=2, base_seed=3))
+    assert len(report.results) == len(SCHEMES)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(trials=0)
@@ -190,9 +196,6 @@ def test_spec_validation():
         SweepSpec(rates=(1.5,))
     with pytest.raises(ValueError):
         SweepSpec(schemes=("bogus",))
-    for jobs in (0, -1):
-        with pytest.raises(ValueError, match="jobs"):
-            SweepSpec(jobs=jobs)
 
 
 def test_sweep_rejects_model_without_layers():

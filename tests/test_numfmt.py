@@ -123,3 +123,25 @@ def test_json_array_of_floats_takes_any_finite_number():
                           ([0, float("-inf")], 1), ([10**400, 0], 0), ([None, 0], 0)):
         with pytest.raises(ValueError, match=rf"model layer 0 key 'bias'.* element {index} "):
             read(values)
+
+
+def test_out_of_range_error_cuts_a_long_value():
+    top = sys.float_info.max
+    with pytest.raises(ValueError) as info:
+        numfmt.json_array([0, -10**400], "model layer 0", "bias", (2,), -top, top, np.float64)
+    message = str(info.value)
+    assert len(message) < 150
+    assert f"element 1 is -1{'0' * 18}... (402 characters);" in message
+
+
+@pytest.mark.parametrize(
+    "values, wording",
+    [
+        (np.array([[3.7]]), "must hold integers, got float64"),
+        (np.array([True, False]), "must hold integers, got bool"),
+        ([2**70, 0], "must hold integers of at most 64 bits, got object"),
+    ],
+)
+def test_int_array_names_what_is_wrong(values, wording):
+    with pytest.raises(ValueError, match=rf"^weight codes {wording}$"):
+        numfmt.int_array(values, "weight codes", 0, 15, np.uint16)
