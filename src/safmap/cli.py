@@ -234,7 +234,16 @@ def _dims(text: str) -> tuple[int, int]:
         rows, cols = (int(p) for p in text.lower().split("x"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError("dims must look like 512x512") from exc
+    if rows < 1 or cols < 1:
+        raise argparse.ArgumentTypeError(f"dims must be at least 1x1, got {text}")
     return rows, cols
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _rates_arg(text: str) -> list[float]:
@@ -245,6 +254,8 @@ def _rates_arg(text: str) -> list[float]:
     for rate in rates:
         if not 0.0 <= rate <= 1.0:
             raise argparse.ArgumentTypeError(f"--rates entry {rate} not in [0, 1]")
+    if not rates:
+        raise argparse.ArgumentTypeError(f"--rates {text!r} names no fault rate")
     return rates
 
 
@@ -322,11 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON path (CSV twin beside it)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="time mapping with and without the table")
+    p = sub.add_parser(
+        "bench",
+        help="time sign-flip and bit-flip mapping with and without the table",
+        description="Time sign-flip and bit-flip mapping of one random layer. "
+        "The 'direct' column runs without a table: direct enumeration and "
+        "the exhaustive per-word correction-word search. The 'lut' column "
+        "runs with the table and its subset-sum search.",
+    )
     p.add_argument("--dims", type=_dims, default=(512, 512))
     p.add_argument("--bits", type=_width, default=8)
     p.add_argument("--rate", type=_probability("--rate"), default=0.05)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--repeats", type=_positive, default=5)
     p.add_argument("--row-len", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

@@ -25,6 +25,9 @@ SA0 = -1
 FAULT_FREE = 0
 SA1 = 1
 
+# Uniform numbers per draw of a mask sample.
+_DRAWS = 1 << 16
+
 # Base-3 fault digits, LSB-bit first: the key of both closest-value engines.
 DIGIT_FAULT_FREE = 0
 DIGIT_SA1 = 1
@@ -122,6 +125,18 @@ def mask_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & (2**64 - 1), *map(int, stream)])
 
 
+def _draw_below(rng: np.random.Generator, shape: tuple, p: float) -> np.ndarray:
+    """``rng.random(shape) < p``, drawn ``_DRAWS`` numbers at a time from the
+    same stream in the same order, so no full-size float64 array is made
+    (16 MB for a 512x512 8-bit mask)."""
+    out = np.empty(shape, dtype=bool)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _DRAWS):
+        block = flat[start : start + _DRAWS]
+        np.less(rng.random(block.size), p, out=block)
+    return out
+
+
 def sample_saf_mask(
     rng: np.random.Generator,
     shape: tuple[int, int, int],
@@ -132,8 +147,8 @@ def sample_saf_mask(
     if not 0.0 <= rate <= 1.0:
         raise InvalidRateError(f"fault rate must be in [0, 1], got {rate}")
     check_width(shape[2])
-    faulty = rng.random(shape) < rate
-    is_sa1 = rng.random(shape) < sa1_fraction
+    faulty = _draw_below(rng, shape, rate)
+    is_sa1 = _draw_below(rng, shape, sa1_fraction)
     cells = np.zeros(shape, dtype=np.int8)
     cells[faulty & is_sa1] = SA1
     cells[faulty & ~is_sa1] = SA0
@@ -204,7 +219,7 @@ def transform_packed_for_flip(
     return sa0 ^ swap, sa1 ^ swap
 
 
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def _popcount16(x: np.ndarray) -> np.ndarray:

@@ -58,6 +58,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.rates:
+            raise ValueError("rates must name at least one fault rate")
         if any(not 0.0 <= r <= 1.0 for r in self.rates):
             raise ValueError("rates must lie in [0, 1]")
         unknown = set(self.schemes) - set(SCHEMES)
@@ -261,7 +263,13 @@ def bench_lut(
     lut: CvmLut | None = None,
 ) -> dict:
     """Median wall-clock of sign-flip and bit-flip with and without the
-    precomputed table, on identical inputs."""
+    precomputed table, on identical inputs.  Without the table the word
+    search is the exhaustive per-word one, the oracle of the table's
+    subset-sum search."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if rows < 1 or cols < 1:
+        raise ValueError(f"layer dimensions must be >= 1, got {rows}x{cols}")
     rng = mask_rng(seed, 0xBE7C)
     codes = rng.integers(0, 1 << bits, size=(rows, cols)).astype(np.uint16)
     layer = LayerWeights(codes, bits, MODE_TWOS_COMPLEMENT)

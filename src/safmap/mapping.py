@@ -6,13 +6,21 @@ each correspond to one physical memory sub-array.  :func:`build_layout` is
 the one entry point; every scheme but naive picks one correction word
 ``sign << bits | j`` per (chunk, column) and then maps once.
 
+The correction-word search has two implementations that choose the same
+words.  With a table (:class:`safmap.lut.CvmLut`) it scores every word at
+once by subset sums over each faulty weight's stuck bits
+(:func:`_subset_words`); without one it is the exhaustive per-word search
+(:func:`_best_words`), kept as the oracle the table path is checked
+against.
+
 Error is always measured between DECODED values (signed integers for
 two's-complement layers), which is the domain that matches dot-product
 error.  Ties are broken deterministically: closest-value mapping prefers
-the smallest candidate pattern, sign-flip keeps the original polarity
-unless the flipped error is strictly smaller, and bit-flip prefers the
-smallest flip mask (so it degenerates to plain closest-value mapping
-whenever flipping cannot help).
+the smallest candidate pattern, and the word search takes the first word
+of least error in word order, so sign-flip keeps the original polarity
+unless the flipped error is strictly smaller and bit-flip prefers the
+smallest flip mask (it degenerates to plain closest-value mapping whenever
+flipping cannot help).
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import numpy as np
 
 from . import numfmt
 from .faults import (
+    _POPCOUNT8,
     SafMask,
     _key_tables,
     fault_digits_from_packed,
@@ -53,6 +62,11 @@ _ILLEGAL = np.uint8(0xFF)
 # Weights per pass of the enumeration engine; bounds its (block, 2**bits)
 # temporaries to a few tens of MB at 8 bits.
 _BLOCK = 1 << 16
+# Bytes of (chunk, column) scores per block of the subset-sum search, and
+# subset terms per batch within a block; both bound its temporaries to a
+# few MB.
+_SCORE_BYTES = 1 << 20
+_TERMS = 1 << 18
 
 
 class UnsignedLayerError(ValueError):
@@ -194,9 +208,11 @@ def cvm_codes(
 
 
 def _engines(layer: LayerWeights, lut):
-    """Closest-value mapping for the layer, as ``(solve, lookup)``:
-    ``solve(targets, sa0, sa1) -> codes`` and ``lookup(keys) -> codes`` on
-    table keys.  The table if one is given, else direct enumeration."""
+    """Closest-value mapping and correction-word search for the layer, as
+    ``(solve, search)``: ``solve(targets, sa0, sa1) -> codes`` and
+    ``search(signs, flip_bits, signed, sa0, sa1, geom) -> words``.  With a
+    table, its lookups and the subset-sum search; without one, direct
+    enumeration and the exhaustive per-word search."""
     if lut is None:
         bits, mode = layer.bits, layer.mode
 
@@ -209,13 +225,13 @@ def _engines(layer: LayerWeights, lut):
         def solve(targets: np.ndarray, sa0: np.ndarray, sa1: np.ndarray) -> np.ndarray:
             return lookup(table_keys(targets, sa0, sa1, bits, mode))
 
-        return solve, lookup
+        return solve, functools.partial(_best_words, layer=layer, lookup=lookup)
     if lut.bits != layer.bits or lut.mode != layer.mode:
         raise ValueError(
             f"LUT built for ({lut.bits}-bit, {lut.mode}) cannot map a "
             f"({layer.bits}-bit, {layer.mode}) layer"
         )
-    return lut.map_codes, lut.lookup
+    return lut.map_codes, functools.partial(_subset_words, layer=layer, lookup=lut.lookup)
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +358,32 @@ class MappedLayout:
 # ---------------------------------------------------------------------------
 
 
-def _best_words(
-    words, signed, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, lookup
-) -> np.ndarray:
-    """Per (chunk, column), the correction word with the least summed error.
+def _sign_terms(signs, signed, flat, geom: ChunkGeometry, layer: LayerWeights):
+    """Per sign: the chunk sums of |clamp(t) - t| flattened over (chunk,
+    column), and the table-key offset and decoded clamped target of each
+    faulty weight, at flat indices ``flat`` of the (M, K) matrix."""
+    bits, low = layer.bits, (1 << layer.bits) - 1
+    base, offset, near = {}, {}, {}
+    for sign in signs:
+        clamped = clamp_array(signed[sign], bits, layer.mode)
+        base[sign] = geom.chunk_sums(np.abs(clamped - signed[sign])).ravel()
+        faulty = clamped.ravel().take(flat)
+        offset[sign] = (faulty & low).astype(np.uint32) * np.uint32(3**bits)
+        near[sign] = faulty.astype(np.float64)
+    return base, offset, near
 
-    Word ``sign << bits | j`` maps ``signed[sign]`` against the faults seen
-    through the flip mask j, and is scored by the chunk sum of
-    |decoded - signed target|.  A word replaces the running best only when
-    strictly better, so the earliest word wins ties.
+
+def _best_words(
+    signs, flip_bits, signed, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, lookup
+) -> np.ndarray:
+    """Per (chunk, column), the correction word with the least summed error,
+    one word at a time: the exhaustive search without a table.
+
+    The words are ``sign << bits | j`` for each sign in ``signs`` and each
+    flip mask ``j < 2**flip_bits``, in that order.  Word ``sign << bits | j``
+    maps ``signed[sign]`` against the faults seen through j, and is scored
+    by the chunk sum of |decoded - signed target|.  A word replaces the
+    running best only when strictly better, so the earliest word wins ties.
 
     Every mapped code is in range, so a weight's error splits into
     |clamp(t) - t|, the same for every j, plus |decoded - clamp(t)|.  The
@@ -362,6 +395,7 @@ def _best_words(
     the float64 bincounts are exact.
     """
     bits, low = layer.bits, (1 << layer.bits) - 1
+    words = [sign << bits | j for sign in signs for j in range(1 << flip_bits)]
     both = (1 << bits) + 1  # j * both == j << bits | j
     rows, cols = np.nonzero(sa0 | sa1)
     group = rows // geom.row_len * layer.cols + cols
@@ -370,13 +404,9 @@ def _best_words(
     swap = (sa0 ^ sa1)[rows, cols].astype(np.uint32) * np.uint32(both)
     digit_of_pair = _key_tables(bits)[0]
     dec = decode_table(bits, layer.mode).astype(np.float64)
-    base, offset, near = {}, {}, {}
-    for sign in {word >> bits for word in words}:
-        clamped = clamp_array(signed[sign], bits, layer.mode)
-        base[sign] = geom.chunk_sums(np.abs(clamped - signed[sign])).ravel()
-        faulty = clamped[rows, cols]
-        offset[sign] = (faulty & low).astype(np.uint32) * np.uint32(3**bits)
-        near[sign] = faulty.astype(np.float64)
+    base, offset, near = _sign_terms(
+        signs, signed, rows * layer.cols + cols, geom, layer
+    )
     flipped = np.empty(rows.size, dtype=np.uint32)
     key = np.empty_like(flipped)
     err = np.empty(rows.size, dtype=np.float64)
@@ -399,6 +429,120 @@ def _best_words(
     return best_word.reshape(geom.num_chunks, layer.cols)
 
 
+def _faulty_by_group(sa0, sa1, geom: ChunkGeometry):
+    """Flat (M, K) indices of the weights with a stuck bit and their
+    (chunk, column) groups ``chunk * K + column``, sorted by group."""
+    faulty = (sa0 | sa1) != 0
+    cols = faulty.shape[1]
+    pad = geom.num_chunks * geom.row_len - geom.rows
+    if pad:
+        faulty = np.concatenate([faulty, np.zeros((pad, cols), dtype=bool)])
+    by_group = faulty.reshape(geom.num_chunks, geom.row_len, cols).transpose(0, 2, 1)
+    chunk, col, row = np.nonzero(by_group)
+    return (chunk * geom.row_len + row) * cols + col, chunk * cols + col
+
+
+def _subsets(masks: np.ndarray, count: int) -> np.ndarray:
+    """(2**count, len(masks)) submasks of bit masks that each have ``count``
+    bits set: bit i of the row index takes a mask's i-th lowest bit."""
+    out = np.zeros((1, masks.size), dtype=np.uint32)
+    rest = masks.astype(np.uint32)
+    for _ in range(count):
+        low = rest & (~rest + np.uint32(1))
+        rest ^= low
+        out = np.concatenate([out, out | low])
+    return out
+
+
+def _subset_pass(table: np.ndarray, count: int, inverse: bool) -> None:
+    """In place over the low ``count`` bits of the row index of a 2-D
+    array: the sum over subsets, or with ``inverse`` its Moebius inverse."""
+    for i in range(count):
+        half = table.shape[1] << i
+        pairs = table.reshape(-1, 2 * half)
+        low, high = pairs[:, :half], pairs[:, half:]
+        if inverse:
+            high -= low
+        else:
+            high += low
+
+
+def _batches(stuck: np.ndarray, lo: int, hi: int, flip_bits: int):
+    """Faulty weights ``lo:hi`` as ``(f, index)`` batches of weights with f
+    stuck bits among the flip bits, each of at most about ``_TERMS``
+    subset terms."""
+    if not flip_bits:
+        yield 0, slice(lo, hi)
+        return
+    level = _POPCOUNT8.take(stuck[lo:hi])  # stuck < 2**bits <= 256
+    order = lo + np.argsort(level, kind="stable")
+    ends = np.bincount(level, minlength=flip_bits + 1).cumsum().tolist()
+    for f, (start, end) in enumerate(zip([0] + ends, ends)):
+        count = end - start
+        pieces = min(count, -(-count * (1 << f) // _TERMS))
+        for k in range(pieces):
+            yield f, order[start + count * k // pieces : start + count * (k + 1) // pieces]
+
+
+def _subset_words(
+    signs, flip_bits, signed, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, lookup
+) -> np.ndarray:
+    """The words of :func:`_best_words`, scored all at once by subset sums.
+
+    A faulty weight's error under flip mask j depends only on ``j & F``,
+    where F holds its stuck bits among the ``flip_bits`` searched ones.  So
+    its 2**f errors over the subsets of F (f = |F|) are solved in one lookup
+    and Moebius-inverted; the inverted terms are added into a (sign,
+    2**flip_bits, group) score block at their subsets, and one
+    sum-over-subsets pass over the flip bits turns the block into every
+    word's chunk score.  The first ``argmin`` in word order keeps the
+    earliest word on ties, as the per-word search does.  Sign-flip searches
+    no flip bits, so each faulty weight has one term per sign.  Every sum is
+    an integer far below 2**53, so the float64 arithmetic is exact.  Groups
+    go one block of about ``_SCORE_BYTES`` of scores at a time.
+
+    With f stuck bits a weight costs 2**f terms, about 2.4 per faulty
+    weight at 5% faults and 8 bits, against 2**bits solves in the per-word
+    search.  When nearly every cell is stuck the two do about the same
+    number of lookups and this one is up to about twice as slow.
+    """
+    bits, nsub = layer.bits, 1 << flip_bits
+    width = len(signs) * nsub
+    size = geom.num_chunks * layer.cols
+    flat, group = _faulty_by_group(sa0, sa1, geom)
+    base, offset, near = _sign_terms(signs, signed, flat, geom, layer)
+    pair = (sa1.ravel().take(flat).astype(np.uint32) << bits) | sa0.ravel().take(flat)
+    stuck = (pair ^ (pair >> bits)) & np.uint32(nsub - 1)
+    digit_of_pair = _key_tables(bits)[0]
+    dec = decode_table(bits, layer.mode).astype(np.float64)
+    both = np.uint32((1 << bits) + 1)  # s * both == s << bits | s
+    span = max(1, _SCORE_BYTES // (8 * width))
+    best = np.empty(size, dtype=np.int64)
+    starts = range(0, size, span)
+    bounds = np.searchsorted(group, starts).tolist() + [group.size]
+    for g0, lo, hi in zip(starts, bounds, bounds[1:]):
+        g1 = min(g0 + span, size)
+        score = np.zeros((width, g1 - g0))
+        for f, w in _batches(stuck, lo, hi, flip_bits):
+            sub = _subsets(stuck[w], f)
+            flipped = digit_of_pair.take(pair[w] ^ sub * both)
+            at = sub * np.uint32(g1 - g0) + (group[w] - g0)
+            for s, sign in enumerate(signs):
+                err = dec.take(lookup(flipped + offset[sign][w]))
+                err -= near[sign][w]
+                _subset_pass(np.abs(err, out=err), f, inverse=True)
+                score += np.bincount(
+                    (at + s * nsub * (g1 - g0)).ravel(), err.ravel(), minlength=score.size
+                ).reshape(score.shape)
+        for s, sign in enumerate(signs):
+            rows = score[s * nsub : (s + 1) * nsub]
+            _subset_pass(rows, flip_bits, inverse=False)
+            rows += base[sign][g0:g1]
+        best[g0:g1] = score.argmin(axis=0)
+    word = (np.asarray(signs)[best >> flip_bits] << bits) | (best & (nsub - 1))
+    return word.astype(np.uint16).reshape(geom.num_chunks, layer.cols)
+
+
 def build_layout(
     scheme: str,
     layer: LayerWeights,
@@ -413,6 +557,8 @@ def build_layout(
     0 and ``1 << bits`` (negate the column), bit-flip every slice mask j --
     and then map each weight once: closest-value mapping of
     ``(-1)**sign * target`` against the faults seen through j, stored XOR j.
+    With a table ``lut`` the words are found by the subset-sum search,
+    without one by the exhaustive per-word search; both pick the same words.
     """
     if (mask.rows, mask.cols, mask.bits) != (layer.rows, layer.cols, layer.bits):
         raise ValueError(
@@ -430,16 +576,12 @@ def build_layout(
     if scheme == SCHEME_NAIVE:
         stored = force_write_array(layer.codes, sa0, sa1)
     else:
-        solve, lookup = _engines(layer, lut)
+        solve, search = _engines(layer, lut)
         targets = layer.values()
         signed = (targets, -targets)
-        words = {
-            SCHEME_CVM: (0,),
-            SCHEME_SIGNFLIP: (0, 1 << bits),
-            SCHEME_BITFLIP: range(1 << bits),
-        }[scheme]
-        if len(words) > 1:
-            word = _best_words(words, signed, sa0, sa1, geom, layer, lookup)
+        if scheme != SCHEME_CVM:
+            signs, flip_bits = ((0, 1), 0) if scheme == SCHEME_SIGNFLIP else ((0,), bits)
+            word = search(signs, flip_bits, signed, sa0, sa1, geom)
         row_word = geom.per_row(word)
         j = row_word & ((1 << bits) - 1)
         target = np.where(row_word >> bits, signed[1], signed[0])

@@ -191,6 +191,30 @@ def test_eval_rejects_jobs_below_one(tmp_path, capsys, jobs):
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--repeats", "0"], ["--repeats", "-2"], ["--dims", "0x4"], ["--dims", "4x-1"]]
+)
+def test_bench_rejects_empty_runs_as_usage_error(capsys, flags):
+    # Zero repeats would time nothing and an empty layer would map nothing.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--bits", "2", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flags[0] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rates", ["0.5:0.1:0.1", ",", " , "])
+def test_eval_rejects_rates_naming_no_rate(tmp_path, capsys, rates):
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--model", str(tmp_path / "model.json"), "--rates", rates,
+              "--out", str(report)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "names no fault rate" in err and "Traceback" not in err
+    assert not report.exists()
+
+
 def test_missing_file_is_runtime_error(tmp_path):
     assert main(["lut", "verify", "--lut", str(tmp_path / "nope.lut")]) == 1
 

@@ -17,7 +17,9 @@ from safmap.faults import (
     fault_digits_from_packed,
     force_write_array,
     gen_saf_mask,
+    mask_rng,
     packed_from_fault_digits,
+    sample_saf_mask,
     transform_packed_for_flip,
 )
 from safmap.numfmt import OutOfRangeError
@@ -125,6 +127,17 @@ def test_generation_is_deterministic():
     assert np.array_equal(a.cells, b.cells)
     c = gen_saf_mask(FaultInjectionSpec(rate=0.07, seed=42, trial_index=4), (16, 16, 8))
     assert not np.array_equal(a.cells, c.cells)
+
+
+def test_sample_drawn_in_blocks_equals_drawing_all_at_once():
+    # 123 x 77 x 8 = 75,768 cells: a full block of draws and a partial one.
+    shape = (123, 77, 8)
+    drawn, reference = mask_rng(5, 1), mask_rng(5, 1)
+    got = sample_saf_mask(drawn, shape, 0.3, 0.4).cells
+    faulty = reference.random(shape) < 0.3
+    is_sa1 = reference.random(shape) < 0.4
+    assert np.array_equal(got, np.where(faulty, np.where(is_sa1, SA1, SA0), FF))
+    assert drawn.random() == reference.random()  # the stream is left where it was
 
 
 def test_empirical_rate_one_shape():

@@ -196,6 +196,8 @@ def test_spec_validation():
         SweepSpec(rates=(1.5,))
     with pytest.raises(ValueError):
         SweepSpec(schemes=("bogus",))
+    with pytest.raises(ValueError, match="at least one fault rate"):
+        SweepSpec(rates=())
 
 
 def test_sweep_rejects_model_without_layers():
@@ -212,3 +214,17 @@ def test_bench_lut_small():
         assert stats["speedup"] == pytest.approx(
             stats["direct_seconds"] / stats["lut_seconds"]
         )
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"repeats": 0}, "repeats must be >= 1"),
+        ({"repeats": -1}, "repeats must be >= 1"),
+        ({"rows": 0}, "dimensions must be >= 1"),
+        ({"cols": 0}, "dimensions must be >= 1"),
+    ],
+)
+def test_bench_lut_rejects_empty_runs(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        bench_lut(**{"rows": 8, "cols": 8, "bits": 2, **kwargs})

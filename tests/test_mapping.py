@@ -302,6 +302,25 @@ def test_word_search_matches_full_solve_n8():
     assert_search_matches_full_solve(layer, mask, 16, build_cvm_lut(8, TWOS))
 
 
+@pytest.mark.parametrize("score_bytes", [3 * 8 * 256, 4 * 8 * 2])
+def test_subset_search_in_blocks_matches_full_solve_n8(monkeypatch, score_bytes):
+    # Score blocks of 3 or 1 groups for bit-flip and 384 or 4 for sign-flip,
+    # and term batches of at most 64, split the 5 x 9 groups of a 70-row
+    # layer (its last chunk 6 rows long); every stuck-bit count 0..8 occurs.
+    from safmap import mapping
+
+    monkeypatch.setattr(mapping, "_SCORE_BYTES", score_bytes)
+    monkeypatch.setattr(mapping, "_TERMS", 64)
+    table = build_cvm_lut(8, TWOS)
+    rng = np.random.default_rng(12)
+    counts = set()
+    for rate in (0.3, 0.7, 1.0):
+        layer, mask = extreme_heavy_case(rng, 70, 9, 8, TWOS, rate)
+        counts |= set(np.count_nonzero(mask.cells, axis=2).ravel().tolist())
+        assert_search_matches_full_solve(layer, mask, 16, table)
+    assert counts == set(range(9))
+
+
 def test_bitflip_search_peak_memory():
     # The search keeps per-word buffers over the faulty weights only; a
     # (2**bits, 3**bits) table of flipped fault digits would double the peak.

@@ -2,8 +2,8 @@
 
 Run it once per source tree and compare the printed lines; equal digests
 mean bit-identical ``stored``, ``col_flip``, ``b_flip``, effective values
-and mapping error for every scheme, with the table and with the direct
-enumeration engine, bit-identical crossbar simulator outputs, an identical
+and mapping error for every scheme, with the table (subset-sum word search)
+and with the direct enumeration engine (per-word search), bit-identical crossbar simulator outputs, an identical
 Monte Carlo sweep report, and identical arrays read back from every JSON
 file format:
 
