@@ -153,6 +153,14 @@ def cmd_train_toy(args) -> int:
 def cmd_eval(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    json_path = Path(args.out)
+    csv_path = json_path.with_suffix(".csv")
+    if csv_path == json_path:
+        raise UsageError(
+            f"--out {args.out} would be overwritten by its CSV twin; use another suffix"
+        )
+    if Path(args.model).resolve() in (json_path.resolve(), csv_path.resolve()):
+        raise UsageError(f"--out {args.out} would overwrite --model {args.model}")
     model = ToyModel.load(args.model)
     spec = harness.SweepSpec(
         rates=tuple(args.rates),
@@ -166,8 +174,6 @@ def cmd_eval(args) -> int:
     )
     report = harness.run_sweep(model, spec, dataset_seed=args.dataset_seed)
     report.config["tool"] = f"safmap {__version__}"
-    json_path = Path(args.out)
-    csv_path = json_path.with_suffix(".csv")
     report.save(json_path, csv_path)
     print(f"wrote report to {json_path} and {csv_path}")
     for row in report.results:
@@ -268,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("inject", help="generate a random stuck-at-fault mask")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
+    p.add_argument("--rows", type=_positive, required=True)
+    p.add_argument("--cols", type=_positive, required=True)
     p.add_argument("--bits", type=_width, required=True)
     p.add_argument("--rate", type=_probability("--rate"), required=True)
     p.add_argument("--sa1-frac", type=_probability("--sa1-frac"), default=0.5)
@@ -288,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(func=cmd_lut_build)
     v = lut_sub.add_parser("verify")
     v.add_argument("--lut", required=True)
-    v.add_argument("--samples", type=int, default=100_000)
+    v.add_argument("--samples", type=_positive, default=100_000)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_lut_verify)
 

@@ -146,6 +146,8 @@ def sample_saf_mask(
     """Draw one i.i.d. mask from an already-derived random stream."""
     if not 0.0 <= rate <= 1.0:
         raise InvalidRateError(f"fault rate must be in [0, 1], got {rate}")
+    if not 0.0 <= sa1_fraction <= 1.0:
+        raise InvalidRateError(f"sa1_fraction must be in [0, 1], got {sa1_fraction}")
     check_width(shape[2])
     faulty = _draw_below(rng, shape, rate)
     is_sa1 = _draw_below(rng, shape, sa1_fraction)

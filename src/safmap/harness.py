@@ -30,7 +30,6 @@ from .mapping import (
     LayerWeights,
     MappedLayout,
     build_layout,
-    mapping_error,
 )
 from .numfmt import MODE_TWOS_COMPLEMENT, encode_array
 from .quant import quantize
@@ -62,6 +61,8 @@ class SweepSpec:
             raise ValueError("rates must name at least one fault rate")
         if any(not 0.0 <= r <= 1.0 for r in self.rates):
             raise ValueError("rates must lie in [0, 1]")
+        if not 0.0 <= self.sa1_fraction <= 1.0:
+            raise ValueError("sa1_fraction must lie in [0, 1]")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -170,11 +171,13 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
 
     Each trial is scored from its column block of the stacked layouts,
     without the crossbar simulator, which equals ``a @ effective_values``
-    by construction: its weight error from the per-(chunk, column) sums of
-    one :func:`safmap.mapping.mapping_error` call per layer, and its
-    accuracy from :func:`safmap.toymodel.quantized_predict` on its block of
-    the layouts' effective weights.  :func:`run_inference` stays the
-    simulator-backed reference.
+    by construction.  One ``effective_values()`` pass per stacked layout
+    gives both numbers: the trial's weight error is the sum of
+    ``|effective - target|`` over its block, and its accuracy is
+    :func:`safmap.toymodel.quantized_predict` on its block.  Unmasked
+    faults are counted once per layer on the stacked masks; as each trial
+    owns its column block, the count over the trials is their sum.
+    :func:`run_inference` stays the simulator-backed reference.
     """
     if not model.layers:
         raise ValueError("model key 'layers' is empty; a sweep maps at least one layer")
@@ -193,14 +196,11 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
     results: list[ResultRow] = []
     for rate in spec.rates:
         masks = [trial_masks(spec, t, shapes, rate) for t in range(spec.trials)]
-        unmasked = [
-            sum(count_unmasked(lw.codes, m) for lw, m in zip(layers, ms))
-            for ms in masks
-        ]
         stacked_masks = [
             SafMask(np.concatenate([ms[i].cells for ms in masks], axis=1))
             for i in range(len(layers))
         ]
+        unmasked = sum(count_unmasked(lw.codes, m) for lw, m in zip(tiled, stacked_masks))
         for scheme in spec.schemes:
             start = time.perf_counter()
             stacked = [
@@ -208,14 +208,14 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
                 for lw, mask in zip(tiled, stacked_masks)
             ]
             map_seconds = (time.perf_counter() - start) / spec.trials
-            abs_err = 0
-            for layout, target, lw in zip(stacked, tiled, layers):
-                sums = mapping_error(layout, target)[0]
-                abs_err += sums.reshape(len(sums), spec.trials, lw.cols).sum(axis=(0, 2))
-            blocks = [np.hsplit(layout.effective_values(), spec.trials) for layout in stacked]
+            effective = [layout.effective_values() for layout in stacked]
+            abs_err = sum(
+                np.abs(eff - lw.values()).reshape(lw.rows, spec.trials, -1).sum(axis=(0, 2))
+                for eff, lw in zip(effective, tiled)
+            )
             accs = [
                 float((quantized_predict(qmodel, x_test, weights) == y_test).mean())
-                for weights in zip(*blocks)
+                for weights in zip(*(np.hsplit(eff, spec.trials) for eff in effective))
             ]
             results.append(
                 ResultRow(
@@ -225,20 +225,15 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
                     mean_acc=float(np.mean(accs)),
                     std_acc=float(np.std(accs)),
                     mean_abs_weight_err=float(np.mean(abs_err / total_weights)),
-                    mean_unmasked_faults=float(np.mean(unmasked)),
+                    mean_unmasked_faults=unmasked / spec.trials,
                     map_seconds=map_seconds,
                 )
             )
 
     config = {
+        **asdict(spec),
         "rates": list(spec.rates),
-        "trials": spec.trials,
         "schemes": list(spec.schemes),
-        "base_seed": spec.base_seed,
-        "sa1_fraction": spec.sa1_fraction,
-        "row_len": spec.row_len,
-        "weight_bits": spec.weight_bits,
-        "act_bits": spec.act_bits,
         "total_cells": total_cells,
         "test_points": int(x_test.shape[0]),
     }

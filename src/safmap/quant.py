@@ -42,6 +42,10 @@ def quantize(x: np.ndarray, bits: int, mode: str) -> QuantizedTensor:
     if not np.isfinite(x).all():
         raise NonFiniteError("cannot quantize NaN/Inf values")
     if mode == MODE_TWOS_COMPLEMENT:
+        if bits == 1:
+            raise ValueError(
+                f"cannot quantize symmetrically to 1-bit {mode}: it has no positive level"
+            )
         peak = float(np.abs(x).max()) if x.size else 0.0
         levels = (1 << (bits - 1)) - 1
     else:

@@ -56,6 +56,25 @@ def test_inject_rejects_bad_rate(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["inject", "--rows", "0", "--cols", "2", "--bits", "4", "--rate", "0.1"], "--rows"),
+        (["inject", "--rows", "2", "--cols", "0", "--bits", "4", "--rate", "0.1"], "--cols"),
+        (["lut", "verify", "--lut", "n4.lut", "--samples", "0"], "--samples"),
+    ],
+)
+def test_count_flags_reject_zero(tmp_path, capsys, argv, flag):
+    # zero rows or columns would write an empty mask, zero samples verify nothing
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--out", str(out)] if argv[0] == "inject" else []))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err and "must be >= 1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_lut_build_and_verify(tmp_path, capsys):
     path = tmp_path / "n4.lut"
     assert main(["lut", "build", "--bits", "4", "--mode", "unsigned",
@@ -212,6 +231,44 @@ def test_eval_rejects_rates_naming_no_rate(tmp_path, capsys, rates):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "names no fault rate" in err and "Traceback" not in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "model_name, out, message",
+    [
+        ("model.json", "report.csv", "overwritten by its CSV twin"),
+        ("model.json", "model.json", "would overwrite --model"),
+        ("model.csv", "model.json", "would overwrite --model"),  # the CSV twin would
+    ],
+)
+def test_eval_refuses_out_that_overwrites_an_input_or_itself(
+    tmp_path, capsys, model_name, out, message
+):
+    model = tmp_path / model_name
+    assert main(["train-toy", "--seed", "0", "--out", str(model)]) == 0
+    before = model.read_bytes()
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model), "--rates", "0", "--trials", "1",
+                 "--out", str(tmp_path / out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1 and err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == [model_name]
+    assert model.read_bytes() == before
+
+
+@pytest.mark.parametrize("flag", ["--bits", "--act-bits"])
+def test_eval_rejects_one_bit_twos_complement(tmp_path, capsys, flag):
+    model = tmp_path / "model.json"
+    assert main(["train-toy", "--seed", "0", "--out", str(model)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "report.json"
+    code = main(["eval", "--model", str(model), "--rates", "0", "--trials", "1",
+                 flag, "1", "--out", str(report)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "1-bit twos_complement" in err and err.count("\n") == 1
     assert not report.exists()
 
 

@@ -120,6 +120,12 @@ def test_invalid_rate_rejected():
         FaultInjectionSpec(rate=0.5, seed=0, sa1_fraction=-0.2)
 
 
+@pytest.mark.parametrize("rate, sa1_fraction", [(1.1, 0.5), (0.5, 1.7), (0.5, -0.1)])
+def test_sample_rejects_probability_outside_unit_interval(rate, sa1_fraction):
+    with pytest.raises(InvalidRateError):
+        sample_saf_mask(mask_rng(0), (2, 2, 4), rate, sa1_fraction)
+
+
 def test_generation_is_deterministic():
     spec = FaultInjectionSpec(rate=0.07, seed=42, trial_index=3)
     a = gen_saf_mask(spec, (16, 16, 8))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import safmap.harness as harness
+import safmap.mapping as mapping
 from safmap.faults import count_unmasked
 from safmap.harness import (
     EvalReport,
@@ -189,6 +190,36 @@ def test_sweep_does_not_simulate(model, monkeypatch):
     assert len(report.results) == len(SCHEMES)
 
 
+def test_sweep_scores_each_rate_and_scheme_in_one_pass(model, monkeypatch):
+    """One unmasked count per (rate, layer) on the stacked masks and one
+    effective-values pass per stacked layout, read for both the weight
+    error and the accuracy."""
+    counted, passes = [], []
+    real_count = harness.count_unmasked
+    real_effective = mapping.MappedLayout.effective_values
+
+    def count(codes, mask):
+        counted.append(mask.cols)
+        return real_count(codes, mask)
+
+    def effective(layout):
+        passes.append(layout.cols)
+        return real_effective(layout)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_sweep called mapping_error")
+
+    monkeypatch.setattr(harness, "count_unmasked", count)
+    monkeypatch.setattr(mapping.MappedLayout, "effective_values", effective)
+    monkeypatch.setattr(mapping, "mapping_error", refuse)
+    monkeypatch.setattr(harness, "mapping_error", refuse, raising=False)
+    spec = SweepSpec(rates=(0.0, 0.05), trials=3, base_seed=3)
+    run_sweep(model, spec)
+    widths = [lw.cols * spec.trials for lw in layer_weight_matrices(quantize_model(model))]
+    assert counted == widths * len(spec.rates)
+    assert passes == widths * len(spec.rates) * len(spec.schemes)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(trials=0)
@@ -198,6 +229,9 @@ def test_spec_validation():
         SweepSpec(schemes=("bogus",))
     with pytest.raises(ValueError, match="at least one fault rate"):
         SweepSpec(rates=())
+    for fraction in (-3.0, 1.7):
+        with pytest.raises(ValueError, match="sa1_fraction"):
+            SweepSpec(sa1_fraction=fraction)
 
 
 def test_sweep_rejects_model_without_layers():

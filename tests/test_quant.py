@@ -20,6 +20,15 @@ def test_unsigned_example():
     assert q.scale == pytest.approx(1 / 3)
 
 
+def test_one_bit_twos_complement_rejected():
+    # its only levels are -1 and 0, so a symmetric scale has no positive level
+    with pytest.raises(ValueError, match="1-bit twos_complement"):
+        quantize(np.array([-1.0, 0.5]), 1, TWOS)
+    q = quantize(np.array([0.0, 0.4, 1.0]), 1, UNSIGNED)
+    assert q.codes.tolist() == [0, 0, 1]
+    assert q.scale == 1.0
+
+
 def test_round_half_away_from_zero():
     q = quantize(np.array([-2.5, -1.5, 1.5, 2.5, 5.0]), 8, TWOS)
     assert q.scale == pytest.approx(5 / 127)
