@@ -52,6 +52,20 @@ def parse_rates(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
+def _refuse_overwrite(out: str, inputs: dict, twin: Path | None = None) -> None:
+    """Usage error when ``--out``, or the CSV ``twin`` written beside it, is
+    the file of one of the ``inputs`` (flag -> path or None), or the twin
+    is ``--out`` itself.  Call it before anything is read or written."""
+    if twin == Path(out):
+        raise UsageError(
+            f"--out {out} would be overwritten by its CSV twin; use another suffix"
+        )
+    written = {Path(out).resolve()} | ({twin.resolve()} if twin else set())
+    for flag, path in inputs.items():
+        if path is not None and Path(path).resolve() in written:
+            raise UsageError(f"--out {out} would overwrite {flag} {path}")
+
+
 def _load_weights(path: str, bits: int, mode: str) -> LayerWeights:
     rows, cols, values = numfmt.json_fields(
         json.loads(Path(path).read_text()), "weights", rows=int, cols=int, values=list
@@ -107,6 +121,9 @@ def cmd_lut_verify(args) -> int:
 
 
 def cmd_map(args) -> int:
+    _refuse_overwrite(
+        args.out, {"--weights": args.weights, "--mask": args.mask, "--lut": args.lut}
+    )
     layer = _load_weights(args.weights, args.bits, args.mode)
     mask = SafMask.load(args.mask)
     if (mask.rows, mask.cols, mask.bits) != (layer.rows, layer.cols, layer.bits):
@@ -125,6 +142,9 @@ def cmd_map(args) -> int:
 
 
 def cmd_mvm(args) -> int:
+    _refuse_overwrite(
+        args.out, {"--layout": args.layout, "--activations": args.activations}
+    )
     layout = MappedLayout.load(args.layout)
     activations = ActivationVector.load(args.activations)
     cfg = CrossbarConfig(
@@ -155,12 +175,7 @@ def cmd_eval(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     json_path = Path(args.out)
     csv_path = json_path.with_suffix(".csv")
-    if csv_path == json_path:
-        raise UsageError(
-            f"--out {args.out} would be overwritten by its CSV twin; use another suffix"
-        )
-    if Path(args.model).resolve() in (json_path.resolve(), csv_path.resolve()):
-        raise UsageError(f"--out {args.out} would overwrite --model {args.model}")
+    _refuse_overwrite(args.out, {"--model": args.model}, twin=csv_path)
     model = ToyModel.load(args.model)
     spec = harness.SweepSpec(
         rates=tuple(args.rates),
@@ -302,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--weights", required=True)
     p.add_argument("--mask", required=True)
-    p.add_argument("--row-len", type=int, default=64)
+    p.add_argument("--row-len", type=_positive, default=64)
     p.add_argument("--bits", type=_width, required=True)
     p.add_argument("--mode", choices=(MODE_UNSIGNED, MODE_TWOS_COMPLEMENT),
                    default=MODE_TWOS_COMPLEMENT)
@@ -326,12 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="Monte Carlo fault-injection sweep")
     p.add_argument("--model", required=True)
     p.add_argument("--rates", type=_rates_arg, default=parse_rates("0:0.05:0.01"))
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--trials", type=_positive, default=50)
     p.add_argument("--schemes", nargs="+", choices=SCHEMES, default=list(SCHEMES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dataset-seed", type=int, default=0)
     p.add_argument("--sa1-frac", type=_probability("--sa1-frac"), default=0.5)
-    p.add_argument("--row-len", type=int, default=64)
+    p.add_argument("--row-len", type=_positive, default=64)
     p.add_argument("--bits", type=_width, default=8)
     p.add_argument("--act-bits", type=_width, default=8)
     p.add_argument("--jobs", type=int, default=1,
@@ -351,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=_width, default=8)
     p.add_argument("--rate", type=_probability("--rate"), default=0.05)
     p.add_argument("--repeats", type=_positive, default=5)
-    p.add_argument("--row-len", type=int, default=64)
+    p.add_argument("--row-len", type=_positive, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

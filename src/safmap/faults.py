@@ -81,14 +81,22 @@ class SafMask:
         return self.cells.shape[2]
 
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sa0, sa1) bit masks of shape (M, K), one bit per slice (LSB first)."""
-        sa0 = np.zeros(self.cells.shape[:2], dtype=np.uint16)
-        sa1 = np.zeros_like(sa0)
-        for k in range(self.bits):
-            plane = self.cells[:, :, k]
-            sa0 |= (plane == SA0).astype(np.uint16) << k
-            sa1 |= (plane == SA1).astype(np.uint16) << k
-        return sa0, sa1
+        """(sa0, sa1) bit masks of shape (M, K), one bit per slice (LSB first).
+
+        Each state's (M, K, n) comparison goes into an (M, K, 8) buffer
+        whose unused high bits stay 0, which ``packbits`` turns into one
+        byte per weight."""
+        rows, cols, bits = self.cells.shape
+        buf = np.zeros((rows, cols, 8), dtype=bool)
+        out = []
+        for state in (SA0, SA1):
+            np.equal(self.cells, state, out=buf[:, :, :bits])
+            out.append(
+                np.packbits(buf.reshape(-1), bitorder="little")
+                .reshape(rows, cols)
+                .astype(np.uint16)
+            )
+        return out[0], out[1]
 
     def num_faulty(self) -> int:
         return int((self.cells != FAULT_FREE).sum())

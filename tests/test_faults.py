@@ -179,6 +179,40 @@ def test_packed_masks_agree_with_reference():
             assert (int(sa0[r, c]), int(sa1[r, c])) == (ref0, ref1)
 
 
+def packed_per_bit(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-bit-plane packing ``SafMask.packed`` replaced, kept as its
+    reference."""
+    sa0 = np.zeros(cells.shape[:2], dtype=np.uint16)
+    sa1 = np.zeros_like(sa0)
+    for k in range(cells.shape[2]):
+        plane = cells[:, :, k]
+        sa0 |= (plane == SA0).astype(np.uint16) << k
+        sa1 |= (plane == SA1).astype(np.uint16) << k
+    return sa0, sa1
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_packed_matches_per_bit_packing(bits):
+    rng = np.random.default_rng(bits)
+    wide = rng.choice([SA0, FF, SA1], size=(9, 14, bits + 3)).astype(np.int8)
+    cases = [
+        wide[:, :7, :bits].copy(),
+        np.zeros((9, 7, bits), dtype=np.int8),  # fault-free
+        np.full((9, 7, bits), SA0, dtype=np.int8),  # all stuck
+        np.full((9, 7, bits), SA1, dtype=np.int8),
+        rng.choice([SA0, SA1], size=(9, 7, bits)).astype(np.int8),
+        wide[::-2, 1::2, 2 : bits + 2],  # a non-contiguous view
+        np.zeros((0, 7, bits), dtype=np.int8),
+    ]
+    assert not SafMask(cases[5]).cells.flags.c_contiguous
+    for cells in cases:
+        sa0, sa1 = SafMask(cells).packed()
+        want0, want1 = packed_per_bit(cells)
+        assert sa0.dtype == sa1.dtype == np.uint16
+        assert np.array_equal(sa0, want0) and np.array_equal(sa1, want1)
+    assert SafMask(cases[2]).packed()[0].max() == (1 << bits) - 1
+
+
 def test_json_round_trip(tmp_path):
     mask = gen_saf_mask(FaultInjectionSpec(rate=0.2, seed=5), (6, 4, 8))
     path = tmp_path / "mask.json"

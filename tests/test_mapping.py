@@ -321,6 +321,27 @@ def test_subset_search_in_blocks_matches_full_solve_n8(monkeypatch, score_bytes)
     assert counts == set(range(9))
 
 
+@pytest.mark.parametrize("row_len", [1, 4, 7, 9, 40])
+def test_faulty_by_group_matches_3d_nonzero(row_len):
+    # 23 rows: the last chunk is padded for row_len 4, 7 and 9; row_len 40
+    # is one chunk longer than the layer.
+    from safmap.mapping import _faulty_by_group
+
+    rows, cols = 23, 6
+    mask = sample_saf_mask(np.random.default_rng(row_len), (rows, cols, 3), 0.2)
+    sa0, sa1 = mask.packed()
+    geom = ChunkGeometry(rows, row_len)
+    padded = np.zeros((geom.num_chunks * row_len, cols), dtype=bool)
+    padded[:rows] = (sa0 | sa1) != 0
+    chunk, col, row = np.nonzero(
+        padded.reshape(geom.num_chunks, row_len, cols).transpose(0, 2, 1)
+    )
+    flat, group = _faulty_by_group(sa0, sa1, geom)
+    assert 0 < flat.size < rows * cols
+    assert np.array_equal(flat, (chunk * row_len + row) * cols + col)
+    assert np.array_equal(group, chunk * cols + col)
+
+
 def test_bitflip_search_peak_memory():
     # The search keeps per-word buffers over the faulty weights only; a
     # (2**bits, 3**bits) table of flipped fault digits would double the peak.
