@@ -28,8 +28,8 @@ SA1 = 1
 # Uniform numbers per draw of a mask sample.
 _DRAWS = 1 << 16
 
-# Base-3 fault digits, LSB-bit first: the key of both closest-value engines.
-DIGIT_FAULT_FREE = 0
+# Base-3 fault digits, LSB-bit first (0 = fault-free): the key of both
+# closest-value engines.
 DIGIT_SA1 = 1
 DIGIT_SA0 = 2
 

@@ -36,7 +36,7 @@ from .quant import quantize
 from .toymodel import (
     QuantizedModel,
     ToyModel,
-    make_blob_dataset,
+    blob_test_set,
     quantize_model,
     quantized_predict,
 )
@@ -177,12 +177,16 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
     :func:`safmap.toymodel.quantized_predict` on its block.  Unmasked
     faults are counted once per layer on the stacked masks; as each trial
     owns its column block, the count over the trials is their sum.
-    :func:`run_inference` stays the simulator-backed reference.
+    Every trial and scheme sees the same test input, so the first layer's
+    input is quantized once per sweep.  :func:`run_inference` stays the
+    simulator-backed reference.
     """
     if not model.layers:
         raise ValueError("model key 'layers' is empty; a sweep maps at least one layer")
-    _, _, x_test, y_test = make_blob_dataset(dataset_seed)
+    x_test, y_test = blob_test_set(model, dataset_seed)
     qmodel = quantize_model(model, spec.weight_bits, spec.act_bits)
+    first = qmodel.layers[0]
+    x_codes = quantize(x_test, first.act_bits, first.act_mode)
     layers = layer_weight_matrices(qmodel)
     shapes = [(lw.rows, lw.cols, lw.bits) for lw in layers]
     total_weights = sum(lw.codes.size for lw in layers)
@@ -214,7 +218,7 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
                 for eff, lw in zip(effective, tiled)
             )
             accs = [
-                float((quantized_predict(qmodel, x_test, weights) == y_test).mean())
+                float((quantized_predict(qmodel, x_codes, weights) == y_test).mean())
                 for weights in zip(*(np.hsplit(eff, spec.trials) for eff in effective))
             ]
             results.append(
@@ -242,7 +246,7 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
 
 def quantized_baseline_accuracy(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> float:
     """Accuracy of fault-free integer inference (the rate-0 reference)."""
-    _, _, x_test, y_test = make_blob_dataset(dataset_seed)
+    x_test, y_test = blob_test_set(model, dataset_seed)
     qmodel = quantize_model(model, spec.weight_bits, spec.act_bits)
     return float((quantized_predict(qmodel, x_test) == y_test).mean())
 

@@ -99,7 +99,12 @@ class OnDemandLut(CvmLut):
         unsolved = found == 0
         if unsolved.any():
             missing = np.asarray(keys)[unsolved]
-            self._solve(np.unique(missing))
+            # Sort and compare rather than np.unique, which imports numpy.ma
+            # (about 16 ms of a fresh process).
+            ordered = np.sort(missing)
+            distinct = np.ones(ordered.size, dtype=bool)
+            np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+            self._solve(ordered[distinct])
             found[unsolved] = self._solved.take(missing)
         found -= 1
         return found

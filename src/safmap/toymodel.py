@@ -241,18 +241,57 @@ def quantize_model(
     return QuantizedModel(layers=layers)
 
 
+def blob_test_set(model: ToyModel, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blob task's test points and labels, once the model is checked to
+    take its inputs and give its classes."""
+    for key, value, task, what in (
+        ("input_dim", model.input_dim, _DIM, "inputs"),
+        ("classes", model.classes, _CLASSES, "classes"),
+    ):
+        if value != task:
+            raise ValueError(
+                f"model key '{key}' is {value}, but the blob dataset has {task} {what}"
+            )
+    _, _, x_test, y_test = make_blob_dataset(seed)
+    return x_test, y_test
+
+
+def _exact_product(codes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``codes @ weights`` of integer matrices, on BLAS in float64; exact
+    within the bound :func:`quantized_predict` states."""
+    return codes.astype(np.float64) @ np.asarray(weights, dtype=np.float64)
+
+
 def quantized_predict(
-    qmodel: QuantizedModel, x: np.ndarray, weights: Sequence[np.ndarray] | None = None
+    qmodel: QuantizedModel,
+    x: np.ndarray | QuantizedTensor,
+    weights: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Integer inference with exact matrix products.  ``weights`` holds one
-    integer matrix per layer (the effective weights of a mapped layout, say)
-    in place of the layers' quantized codes."""
+    """Integer inference with exact matrix products.  ``x`` is the float
+    input, or the first layer's input already quantized to that layer's
+    ``act_bits`` and ``act_mode``.  ``weights`` holds one integer matrix per
+    layer (the effective weights of a mapped layout, say) in place of the
+    layers' quantized codes.
+
+    The matrix products run on BLAS in float64 and are exact.  With widths
+    of at most ``MAX_BITS`` = 8, an activation code is at most 255 in
+    magnitude (unsigned 8-bit) and so is a weight, so every term is at most
+    2**16 and a sum over R rows at most 2**16 * R: an integer below 2**53
+    for any R < 2**37, whatever order BLAS adds the terms in."""
     if weights is None:
         weights = [layer.weights.codes for layer in qmodel.layers]
     for layer, w in zip(qmodel.layers, weights, strict=True):
-        aq = quantize(x, layer.act_bits, layer.act_mode)
-        y_int = aq.codes @ w
-        x = y_int.astype(np.float64) * (aq.scale * layer.weights.scale) + layer.bias
+        if isinstance(x, QuantizedTensor):
+            if (x.bits, x.mode) != (layer.act_bits, layer.act_mode):
+                raise ValueError(
+                    f"input quantized to {x.bits}-bit {x.mode}, but the layer "
+                    f"takes {layer.act_bits}-bit {layer.act_mode}"
+                )
+            aq = x
+        else:
+            aq = quantize(x, layer.act_bits, layer.act_mode)
+        y = _exact_product(aq.codes, w)
+        x = y * (aq.scale * layer.weights.scale) + layer.bias
         if layer.relu:
             x = np.maximum(x, 0.0)
     return x.argmax(axis=1)

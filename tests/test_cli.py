@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from safmap.cli import main, parse_rates
 from safmap.faults import SafMask
 from safmap.mapping import MappedLayout
+from safmap.toymodel import DenseLayer, ToyModel
 
 
 def write_weights(path, values):
@@ -323,6 +324,35 @@ def test_eval_rejects_one_bit_twos_complement(tmp_path, capsys, flag):
     assert code == 1
     err = capsys.readouterr().err
     assert "1-bit twos_complement" in err and err.count("\n") == 1
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "input_dim, classes, message",
+    [
+        (16, 3, "model key 'classes' is 3, but the blob dataset has 4 classes"),
+        (16, 6, "model key 'classes' is 6, but the blob dataset has 4 classes"),
+        (8, 4, "model key 'input_dim' is 8, but the blob dataset has 16 inputs"),
+    ],
+)
+def test_eval_refuses_model_that_does_not_fit_the_blob_task(
+    tmp_path, capsys, input_dim, classes, message
+):
+    rng = np.random.default_rng(0)
+    model = tmp_path / "model.json"
+    ToyModel(
+        layers=[
+            DenseLayer(rng.normal(size=(input_dim, 5)), rng.normal(size=5), relu=True),
+            DenseLayer(rng.normal(size=(5, classes)), rng.normal(size=classes), relu=False),
+        ],
+        input_dim=input_dim,
+        classes=classes,
+    ).save(model)
+    report = tmp_path / "report.json"
+    code = main(["eval", "--model", str(model), "--rates", "0", "--trials", "1",
+                 "--out", str(report)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not report.exists()
 
 

@@ -191,6 +191,36 @@ def test_on_demand_table_matches_full_table_on_every_key(bits, mode):
 
 
 @pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
+def test_on_demand_lookup_solves_each_distinct_key_once(monkeypatch, mode):
+    from safmap import lut as lut_mod
+
+    full = build_cvm_lut(4, mode)
+    solve = lut_mod.closest_codes
+    solved = []
+
+    def counting(keys, bits, mode):
+        solved.extend(np.asarray(keys).tolist())
+        return solve(keys, bits, mode)
+
+    monkeypatch.setattr(lut_mod, "closest_codes", counting)
+    lazy = OnDemandLut(4, mode)
+    rng = np.random.default_rng(3)
+    first = rng.integers(0, 6**4, size=40)
+    batches = [
+        np.repeat(first, 3)[rng.permutation(120)],  # every unsolved key thrice
+        # solved keys and new ones, each new key repeated
+        np.concatenate([first, np.tile(np.arange(500, 520), 4), first[:5]]),
+    ]
+    seen = set()
+    for keys in batches:
+        solved.clear()
+        got = lazy.lookup(keys)
+        assert sorted(solved) == sorted(set(keys.tolist()) - seen)
+        assert np.array_equal(got, full.lookup(keys))
+        seen.update(keys.tolist())
+
+
+@pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
 def test_on_demand_table_fills_up_over_calls_n8(mode):
     full = build_cvm_lut(8, mode)
     lazy = OnDemandLut(8, mode)

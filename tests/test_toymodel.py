@@ -4,6 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safmap import toymodel
+from safmap.quant import quantize
 from safmap.toymodel import (
     DenseLayer,
     ToyModel,
@@ -110,3 +112,43 @@ def test_model_json_rejects_numbers_beyond_float64():
     obj["layers"][0]["bias"] = [0, -(10**400)]
     with pytest.raises(ValueError, match=r"model layer 0 key 'bias' element 1"):
         ToyModel.from_json_dict(obj)
+
+
+# Enough rows that a float32 product of the 255 cases would round.
+EXTREME_ROWS = 70_001
+
+
+@pytest.mark.parametrize(
+    "code, weight",
+    [(-128, -128), (-128, 128), (255, 255), (255, -255)],
+    ids=["twos-128x-128", "twos-128x128", "unsigned255x255", "unsigned255x-255"],
+)
+def test_float_product_is_exact_at_the_extremes(code, weight):
+    codes = np.full((3, EXTREME_ROWS), code, dtype=np.int64)
+    weights = np.full((EXTREME_ROWS, 2), weight, dtype=np.int64)
+    got = toymodel._exact_product(codes, weights)
+    want = codes @ weights
+    assert np.array_equal(got, want)
+    assert int(got[0, 0]) == code * weight * EXTREME_ROWS
+    # The same sum in float32 is not exact, so the rows test the bound.
+    if abs(code * weight) == 255 * 255:
+        narrow = codes.astype(np.float32) @ weights.astype(np.float32)
+        assert not np.array_equal(narrow.astype(np.int64), want)
+
+
+def test_prequantized_input_predicts_as_float_input(model):
+    _, _, x_test, _ = make_blob_dataset(seed=0)
+    qmodel = quantize_model(model)
+    first = qmodel.layers[0]
+    x_codes = quantize(x_test, first.act_bits, first.act_mode)
+    rng = np.random.default_rng(5)
+    effective = [
+        rng.integers(-128, 129, size=layer.weights.codes.shape) for layer in qmodel.layers
+    ]
+    for weights in (None, effective):
+        assert np.array_equal(
+            quantized_predict(qmodel, x_codes, weights),
+            quantized_predict(qmodel, x_test, weights),
+        )
+    with pytest.raises(ValueError, match="quantized to 8-bit unsigned"):
+        quantized_predict(qmodel, quantize(x_test, 8, UNSIGNED))
