@@ -358,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="time sign-flip and bit-flip mapping with and without the table",
         description="Time sign-flip and bit-flip mapping of one random layer. "
-        "The 'direct' column runs without a table: direct enumeration and "
-        "the exhaustive per-word correction-word search. The 'lut' column "
+        "The 'direct' column runs without a table: the exhaustive per-word "
+        "correction-word search, reading a table solved on demand for that "
+        "call, which enumerates each distinct key once. The 'lut' column "
         "runs with the table and its subset-sum search.",
     )
     p.add_argument("--dims", type=_dims, default=(512, 512))

@@ -264,7 +264,8 @@ def bench_lut(
     """Median wall-clock of sign-flip and bit-flip with and without the
     precomputed table, on identical inputs.  Without the table the word
     search is the exhaustive per-word one, the oracle of the table's
-    subset-sum search."""
+    subset-sum search, reading a table solved on demand for that call (each
+    distinct key enumerated once per call)."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if rows < 1 or cols < 1:

@@ -6,12 +6,14 @@ each correspond to one physical memory sub-array.  :func:`build_layout` is
 the one entry point; every scheme but naive picks one correction word
 ``sign << bits | j`` per (chunk, column) and then maps once.
 
-The correction-word search has two implementations that choose the same
-words.  With a table (:class:`safmap.lut.CvmLut`) it scores every word at
-once by subset sums over each faulty weight's stuck bits
-(:func:`_subset_words`); without one it is the exhaustive per-word search
-(:func:`_best_words`), kept as the oracle the table path is checked
-against.
+Every scheme but naive maps through one table object: the given
+:class:`safmap.lut.CvmLut`, or else a :class:`safmap.lut.OnDemandLut` made
+for the call, which enumerates each distinct key once per call.  The
+correction-word search has two implementations that choose the same words.
+With a given table it scores every word at once by subset sums over each
+faulty weight's stuck bits (:func:`_subset_words`); without one it is the
+exhaustive per-word search (:func:`_best_words`) reading the on-demand
+table, kept as the oracle the subset-sum search is checked against.
 
 Error is always measured between DECODED values (signed integers for
 two's-complement layers), which is the domain that matches dot-product
@@ -207,33 +209,6 @@ def cvm_codes(
     return closest_codes(table_keys(targets, sa0, sa1, bits, mode), bits, mode)
 
 
-def _engines(layer: LayerWeights, lut):
-    """Closest-value mapping and correction-word search for the layer, as
-    ``(solve, search)``: ``solve(targets, sa0, sa1) -> codes`` and
-    ``search(signs, flip_bits, signed, sa0, sa1, geom) -> words``.  With a
-    table, its lookups and the subset-sum search; without one, direct
-    enumeration and the exhaustive per-word search."""
-    if lut is None:
-        bits, mode = layer.bits, layer.mode
-
-        def lookup(keys: np.ndarray) -> np.ndarray:
-            # Most keys repeat (a fault-free weight's key is its target code),
-            # so each distinct key is enumerated once.
-            distinct, inverse = np.unique(keys, return_inverse=True)
-            return closest_codes(distinct, bits, mode)[inverse.reshape(keys.shape)]
-
-        def solve(targets: np.ndarray, sa0: np.ndarray, sa1: np.ndarray) -> np.ndarray:
-            return lookup(table_keys(targets, sa0, sa1, bits, mode))
-
-        return solve, functools.partial(_best_words, layer=layer, lookup=lookup)
-    if lut.bits != layer.bits or lut.mode != layer.mode:
-        raise ValueError(
-            f"LUT built for ({lut.bits}-bit, {lut.mode}) cannot map a "
-            f"({layer.bits}-bit, {layer.mode}) layer"
-        )
-    return lut.map_codes, functools.partial(_subset_words, layer=layer, lookup=lut.lookup)
-
-
 # ---------------------------------------------------------------------------
 # Mapped layouts.
 # ---------------------------------------------------------------------------
@@ -358,11 +333,15 @@ class MappedLayout:
 # ---------------------------------------------------------------------------
 
 
-def _sign_terms(signs, signed, flat, geom: ChunkGeometry, layer: LayerWeights):
-    """Per sign: the chunk sums of |clamp(t) - t| flattened over (chunk,
-    column), and the table-key offset and decoded clamped target of each
-    faulty weight, at flat indices ``flat`` of the (M, K) matrix."""
+def _faulty_terms(signs, signed, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights):
+    """The faulty weights (a stuck bit in any slice) in (chunk, column)
+    group order, as ``(group, pair, base, offset, near)``: their groups, their
+    packed pairs ``sa1 << bits | sa0``, and per sign the chunk sums of
+    |clamp(t) - t| flattened over (chunk, column), and each faulty weight's
+    table-key offset and decoded clamped target."""
     bits, low = layer.bits, (1 << layer.bits) - 1
+    flat, group = _faulty_by_group(sa0, sa1, geom)
+    pair = (sa1.ravel().take(flat).astype(np.uint32) << bits) | sa0.ravel().take(flat)
     base, offset, near = {}, {}, {}
     for sign in signs:
         clamped = clamp_array(signed[sign], bits, layer.mode)
@@ -370,14 +349,15 @@ def _sign_terms(signs, signed, flat, geom: ChunkGeometry, layer: LayerWeights):
         faulty = clamped.ravel().take(flat)
         offset[sign] = (faulty & low).astype(np.uint32) * np.uint32(3**bits)
         near[sign] = faulty.astype(np.float64)
-    return base, offset, near
+    return group, pair, base, offset, near
 
 
 def _best_words(
     signs, flip_bits, signed, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, lookup
 ) -> np.ndarray:
     """Per (chunk, column), the correction word with the least summed error,
-    one word at a time: the exhaustive search without a table.
+    one word at a time: the exhaustive search, the oracle of
+    :func:`_subset_words`.
 
     The words are ``sign << bits | j`` for each sign in ``signs`` and each
     flip mask ``j < 2**flip_bits``, in that order.  Word ``sign << bits | j``
@@ -397,19 +377,14 @@ def _best_words(
     bits, low = layer.bits, (1 << layer.bits) - 1
     words = [sign << bits | j for sign in signs for j in range(1 << flip_bits)]
     both = (1 << bits) + 1  # j * both == j << bits | j
-    rows, cols = np.nonzero(sa0 | sa1)
-    group = rows // geom.row_len * layer.cols + cols
     size = geom.num_chunks * layer.cols
-    pair = (sa1[rows, cols].astype(np.uint32) << bits) | sa0[rows, cols]
-    swap = (sa0 ^ sa1)[rows, cols].astype(np.uint32) * np.uint32(both)
+    group, pair, base, offset, near = _faulty_terms(signs, signed, sa0, sa1, geom, layer)
+    swap = ((pair ^ (pair >> bits)) & np.uint32(low)) * np.uint32(both)
     digit_of_pair = _key_tables(bits)[0]
     dec = decode_table(bits, layer.mode).astype(np.float64)
-    base, offset, near = _sign_terms(
-        signs, signed, rows * layer.cols + cols, geom, layer
-    )
-    flipped = np.empty(rows.size, dtype=np.uint32)
+    flipped = np.empty(group.size, dtype=np.uint32)
     key = np.empty_like(flipped)
-    err = np.empty(rows.size, dtype=np.float64)
+    err = np.empty(group.size, dtype=np.float64)
     best = np.full(size, np.inf)
     better = np.empty(size, dtype=bool)
     best_word = np.zeros(size, dtype=np.uint16)
@@ -514,9 +489,7 @@ def _subset_words(
     bits, nsub = layer.bits, 1 << flip_bits
     width = len(signs) * nsub
     size = geom.num_chunks * layer.cols
-    flat, group = _faulty_by_group(sa0, sa1, geom)
-    base, offset, near = _sign_terms(signs, signed, flat, geom, layer)
-    pair = (sa1.ravel().take(flat).astype(np.uint32) << bits) | sa0.ravel().take(flat)
+    group, pair, base, offset, near = _faulty_terms(signs, signed, sa0, sa1, geom, layer)
     stuck = (pair ^ (pair >> bits)) & np.uint32(nsub - 1)
     digit_of_pair = _key_tables(bits)[0]
     dec = decode_table(bits, layer.mode).astype(np.float64)
@@ -562,8 +535,10 @@ def build_layout(
     0 and ``1 << bits`` (negate the column), bit-flip every slice mask j --
     and then map each weight once: closest-value mapping of
     ``(-1)**sign * target`` against the faults seen through j, stored XOR j.
-    With a table ``lut`` the words are found by the subset-sum search,
-    without one by the exhaustive per-word search; both pick the same words.
+    Both steps read one table: ``lut``, or else an on-demand table made for
+    this call, which enumerates each distinct key once.  With ``lut`` the
+    words are found by the subset-sum search, without it by the exhaustive
+    per-word search; both pick the same words.
     """
     if (mask.rows, mask.cols, mask.bits) != (layer.rows, layer.cols, layer.bits):
         raise ValueError(
@@ -581,16 +556,24 @@ def build_layout(
     if scheme == SCHEME_NAIVE:
         stored = force_write_array(layer.codes, sa0, sa1)
     else:
-        solve, search = _engines(layer, lut)
+        from .lut import OnDemandLut  # lut imports this module
+
+        table = OnDemandLut(bits, layer.mode) if lut is None else lut
+        if (table.bits, table.mode) != (bits, layer.mode):
+            raise ValueError(
+                f"LUT built for ({table.bits}-bit, {table.mode}) cannot map a "
+                f"({bits}-bit, {layer.mode}) layer"
+            )
         targets = layer.values()
         signed = (targets, -targets)
         if scheme != SCHEME_CVM:
             signs, flip_bits = ((0, 1), 0) if scheme == SCHEME_SIGNFLIP else ((0,), bits)
-            word = search(signs, flip_bits, signed, sa0, sa1, geom)
+            search = _best_words if lut is None else _subset_words
+            word = search(signs, flip_bits, signed, sa0, sa1, geom, layer, table.lookup)
         row_word = geom.per_row(word)
         j = row_word & ((1 << bits) - 1)
         target = np.where(row_word >> bits, signed[1], signed[0])
-        stored = solve(target, *transform_packed_for_flip(sa0, sa1, j)) ^ j
+        stored = table.map_codes(target, *transform_packed_for_flip(sa0, sa1, j)) ^ j
     k = np.arange(bits, dtype=np.uint16)
     return MappedLayout(
         scheme=scheme,

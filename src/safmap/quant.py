@@ -31,8 +31,11 @@ class QuantizedTensor:
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     # numpy's round() is round-half-even; fix the rounding mode for
-    # determinism across platforms.
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    # determinism across platforms.  One temporary, rounded in place.
+    r = np.abs(x)
+    r += 0.5
+    np.floor(r, out=r)
+    return np.copysign(r, x, out=r)
 
 
 def quantize(x: np.ndarray, bits: int, mode: str) -> QuantizedTensor:

@@ -362,6 +362,38 @@ def test_bitflip_search_peak_memory():
     assert peak < 20 * 2**20
 
 
+def test_oracle_solves_each_key_once_per_call(monkeypatch):
+    # Without a table the per-word search reads one on-demand table for the
+    # call, so a key that several words share is enumerated only once.
+    from safmap import lut, mapping
+
+    layer, mask = random_case(seed=8)
+    table = build_cvm_lut(8, TWOS)
+    solved = []
+    enumerate_keys = mapping.closest_codes
+
+    def counting(keys, bits, mode):
+        solved.extend(np.asarray(keys).ravel().tolist())
+        return enumerate_keys(keys, bits, mode)
+
+    monkeypatch.setattr(mapping, "closest_codes", counting)
+    monkeypatch.setattr(lut, "closest_codes", counting)
+    oracle = build_layout(SCHEME_BITFLIP, layer, mask, 16, lut=None)
+    assert solved
+    assert len(solved) == len(set(solved))
+    fast = build_layout(SCHEME_BITFLIP, layer, mask, 16, lut=table)
+    for name in ("stored", "col_flip", "b_flip"):
+        assert np.array_equal(getattr(oracle, name), getattr(fast, name)), name
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_CVM, SCHEME_SIGNFLIP, SCHEME_BITFLIP])
+@pytest.mark.parametrize("bits, mode", [(3, TWOS), (4, UNSIGNED)])
+def test_table_of_another_width_or_mode_is_refused(scheme, bits, mode):
+    layer, mask = random_case(seed=9, rows=8, cols=3, bits=4, mode=TWOS)
+    with pytest.raises(ValueError, match=r"LUT built for \(.*\) cannot map a \(4-bit, "):
+        build_layout(scheme, layer, mask, 4, lut=build_cvm_lut(bits, mode))
+
+
 # ---------------------------------------------------------------------------
 # Cross-scheme properties and layouts
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from safmap.numfmt import MODE_TWOS_COMPLEMENT as TWOS, MODE_UNSIGNED as UNSIGNED
-from safmap.quant import NonFiniteError, dequantize, quantize
+from safmap.quant import NonFiniteError, _round_half_away, dequantize, quantize
 
 
 def test_signed_example():
@@ -34,6 +34,29 @@ def test_round_half_away_from_zero():
     assert q.scale == pytest.approx(5 / 127)
     # +-1.5 scaled = +-38.1, +-2.5 scaled = +-63.5 -> rounds away from zero
     assert q.codes.tolist() == [-64, -38, 38, 64, 127]
+
+
+def reference_round_half_away(x):
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+ROUNDING_EDGES = np.concatenate([
+    np.arange(-300, 301) + 0.5,
+    [0.0, -0.0, 0.49999999999999994, -0.49999999999999994, 2**52 - 0.5, -(2**52 - 0.5)],
+    np.random.default_rng(0).normal(scale=100.0, size=10_000),
+])
+
+
+def test_rounding_matches_reference_on_edge_values():
+    want = reference_round_half_away(ROUNDING_EDGES).astype(np.int64)
+    assert np.array_equal(_round_half_away(ROUNDING_EDGES).astype(np.int64), want)
+    # With a peak of 127 the 8-bit scale is 1, so every value below it in
+    # magnitude reaches the rounding unchanged.
+    small = ROUNDING_EDGES[np.abs(ROUNDING_EDGES) < 127]
+    for x in (np.append(small, 127.0), ROUNDING_EDGES):
+        q = quantize(x, 8, TWOS)
+        want = np.clip(reference_round_half_away(x / q.scale), -128, 127)
+        assert np.array_equal(q.codes, want.astype(np.int64))
 
 
 def test_all_zero_tensor():

@@ -3,9 +3,10 @@
 Run it once per source tree and compare the printed lines; equal digests
 mean bit-identical ``stored``, ``col_flip``, ``b_flip``, effective values
 and mapping error for every scheme, with the table (subset-sum word search)
-and with the direct enumeration engine (per-word search), bit-identical crossbar simulator outputs, an identical
-Monte Carlo sweep report, and identical arrays read back from every JSON
-file format:
+and without one (the "direct" lines: per-word search, keys enumerated on
+demand), bit-identical crossbar simulator outputs, an identical Monte
+Carlo sweep report, and identical arrays read back from every JSON file
+format:
 
     PYTHONPATH=src python tools/mapping_digest.py > new.txt
     PYTHONPATH=<other checkout>/src python tools/mapping_digest.py > old.txt
@@ -13,9 +14,10 @@ file format:
 
 Cases: 240 random small layers (1-5 bits, both decoding modes, random
 shape, row length and fault rate) and one 512x512 8-bit layer at 5%
-faults.  The large case runs the direct bit-flip search (256 enumeration
-passes over the distinct keys of its faulty weights), so a run takes about
-10 s on a 2-vCPU shared Xeon host (Python 3.11, numpy 2.4).  The simulator line
+faults.  The large case runs the per-word bit-flip search without a table
+(256 words looked up in a table solved on demand, each distinct key of its
+faulty weights enumerated once), so a run takes about 5-6 s on a 2-vCPU
+shared Xeon host (Python 3.11, numpy 2.4).  The simulator line
 runs ``mvm_simulate_batch`` on every small layout with seeded activation
 batches in both decoding modes; the sweep line hashes one small
 ``run_sweep`` report of the seed-0 toy model, without the wall-clock
