@@ -4,8 +4,8 @@ One table covers every (target code, per-bit fault pattern) pair for a
 given width and decoding mode: 2**n codes times 3**n ternary fault
 patterns, i.e. 6**n entries of one byte each.  It is the enumeration
 engine (:func:`safmap.mapping.closest_codes`) evaluated on every key, built
-once and reused across layers and models; mapping schemes treat it as a
-drop-in replacement for that engine.  :class:`OnDemandLut` is the same
+once and reused across layers and models; mapping looks up the keys of
+its signed target codes.  :class:`OnDemandLut` is the same
 table with each entry solved by that engine the first time it is looked up,
 for runs that meet only a few of the keys.
 
@@ -66,14 +66,11 @@ class CvmLut:
         :func:`safmap.mapping.closest_codes`."""
         return self.entries.take(keys)
 
-    # Mapping schemes call this through the same interface as the direct
-    # enumeration engine.
     def map_codes(
-        self, targets: np.ndarray, sa0: np.ndarray, sa1: np.ndarray
+        self, codes: np.ndarray, sa0: np.ndarray, sa1: np.ndarray
     ) -> np.ndarray:
-        """Table lookup equivalent of :func:`safmap.mapping.cvm_codes`."""
-        keys = table_keys(targets, sa0, sa1, self.bits, self.mode)
-        return self.lookup(keys).astype(np.uint16)
+        """Closest legal code of each (target code, fault) pair."""
+        return self.lookup(table_keys(codes, sa0, sa1, self.bits)).astype(np.uint16)
 
 
 class OnDemandLut(CvmLut):

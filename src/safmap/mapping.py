@@ -15,8 +15,9 @@ faulty weight's stuck bits (:func:`_subset_words`); without one it is the
 exhaustive per-word search (:func:`_best_words`) reading the on-demand
 table, kept as the oracle the subset-sum search is checked against.
 
-Error is always measured between DECODED values (signed integers for
-two's-complement layers), which is the domain that matches dot-product
+Mapping works on weight codes throughout: :func:`_signed_codes` gives each
+sign's clamped target code and clamp cost, and error is read from the
+engine's table of |decode(c) - decode(t)|, the domain that matches dot-product
 error.  Ties are broken deterministically: closest-value mapping prefers
 the smallest candidate pattern, and the word search takes the first word
 of least error in word order, so sign-flip keeps the original polarity
@@ -164,21 +165,28 @@ def _cvm_tables(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
     return err, penalty
 
 
-def table_keys(
-    targets: np.ndarray, sa0: np.ndarray, sa1: np.ndarray, bits: int, mode: str
-) -> np.ndarray:
-    """Table key ``code * 3**bits + digits`` of each (target, fault) pair.
+@functools.cache
+def _signed_codes(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """(code, cost) tables, the one place mapping negates and clamps: for
+    t = clamp((-1)**s * decode(c)), code[s, c] is its code and cost[s, c] =
+    |t - (-1)**s * decode(c)| (nonzero only at a negated most-negative code;
+    clamping keeps the arg-min, as distance is monotone past the range)."""
+    signed = decode_table(bits, mode) * np.array([[1], [-1]])
+    clamped = clamp_array(signed, bits, mode)
+    code = (clamped & ((1 << bits) - 1)).astype(np.uint16)
+    cost = np.abs(clamped - signed).astype(np.uint8)
+    code.flags.writeable = cost.flags.writeable = False  # shared by every caller
+    return code, cost
 
-    ``targets`` holds decoded integers and may lie outside the representable
-    range (sign-flip negation); its code is that of the clamped target,
-    which preserves the arg-min because distance to an out-of-range value is
-    monotone in the candidate.  ``digits`` are the base-3 fault digits of the
-    packed masks; ``sa0 & sa1`` must be empty (a cell is stuck at one value).
-    """
-    codes = clamp_array(targets, bits, mode) & ((1 << bits) - 1)
-    return codes.astype(np.uint32) * np.uint32(3**bits) + fault_digits_from_packed(
-        sa0, sa1, bits
-    )
+
+def table_keys(
+    codes: np.ndarray, sa0: np.ndarray, sa1: np.ndarray, bits: int
+) -> np.ndarray:
+    """Table key ``code * 3**bits + digits`` of each (target code, fault)
+    pair, with the base-3 fault digits of packed masks (``sa0 & sa1`` empty)."""
+    keys = fault_digits_from_packed(sa0, sa1, bits)
+    keys += np.asarray(codes, dtype=np.uint32) * np.uint32(3**bits)
+    return keys
 
 
 def closest_codes(keys: np.ndarray, bits: int, mode: str) -> np.ndarray:
@@ -204,9 +212,9 @@ def closest_codes(keys: np.ndarray, bits: int, mode: str) -> np.ndarray:
 def cvm_codes(
     targets: np.ndarray, sa0: np.ndarray, sa1: np.ndarray, bits: int, mode: str
 ) -> np.ndarray:
-    """Closest-value mapping of each (target, fault) pair, see
-    :func:`table_keys`; returns the winning code patterns."""
-    return closest_codes(table_keys(targets, sa0, sa1, bits, mode), bits, mode)
+    """Closest codes of each (decoded target, fault) pair, the target clamped."""
+    codes = clamp_array(targets, bits, mode) & ((1 << bits) - 1)
+    return closest_codes(table_keys(codes, sa0, sa1, bits), bits, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -333,27 +341,25 @@ class MappedLayout:
 # ---------------------------------------------------------------------------
 
 
-def _faulty_terms(signs, signed, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights):
+def _faulty_terms(signs, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights):
     """The faulty weights (a stuck bit in any slice) in (chunk, column)
-    group order, as ``(group, pair, base, offset, near)``: their groups, their
-    packed pairs ``sa1 << bits | sa0``, and per sign the chunk sums of
-    |clamp(t) - t| flattened over (chunk, column), and each faulty weight's
-    table-key offset and decoded clamped target."""
-    bits, low = layer.bits, (1 << layer.bits) - 1
+    group order, as ``(group, pair, base, offset, row)``: their groups, their
+    packed pairs ``sa1 << bits | sa0``, and per sign the chunk sums of the
+    clamp costs flattened over (chunk, column), and, for each faulty
+    weight's signed target code, ``code * 3**bits`` and ``code << bits``."""
+    bits, (code_of, cost) = layer.bits, _signed_codes(layer.bits, layer.mode)
     flat, group = _faulty_by_group(sa0, sa1, geom)
     pair = (sa1.ravel().take(flat).astype(np.uint32) << bits) | sa0.ravel().take(flat)
-    base, offset, near = {}, {}, {}
+    base, offset, row = {}, {}, {}
     for sign in signs:
-        clamped = clamp_array(signed[sign], bits, layer.mode)
-        base[sign] = geom.chunk_sums(np.abs(clamped - signed[sign])).ravel()
-        faulty = clamped.ravel().take(flat)
-        offset[sign] = (faulty & low).astype(np.uint32) * np.uint32(3**bits)
-        near[sign] = faulty.astype(np.float64)
-    return group, pair, base, offset, near
+        base[sign] = geom.chunk_sums(cost[sign].take(layer.codes)).ravel()
+        code = code_of[sign].take(layer.codes.take(flat)).astype(np.uint32)
+        offset[sign], row[sign] = code * np.uint32(3**bits), code << np.uint32(bits)
+    return group, pair, base, offset, row
 
 
 def _best_words(
-    signs, flip_bits, signed, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, lookup
+    signs, flip_bits, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, lookup
 ) -> np.ndarray:
     """Per (chunk, column), the correction word with the least summed error,
     one word at a time: the exhaustive search, the oracle of
@@ -361,7 +367,7 @@ def _best_words(
 
     The words are ``sign << bits | j`` for each sign in ``signs`` and each
     flip mask ``j < 2**flip_bits``, in that order.  Word ``sign << bits | j``
-    maps ``signed[sign]`` against the faults seen through j, and is scored
+    maps the signed target codes against the faults seen through j, scored
     by the chunk sum of |decoded - signed target|.  A word replaces the
     running best only when strictly better, so the earliest word wins ties.
 
@@ -378,13 +384,13 @@ def _best_words(
     words = [sign << bits | j for sign in signs for j in range(1 << flip_bits)]
     both = (1 << bits) + 1  # j * both == j << bits | j
     size = geom.num_chunks * layer.cols
-    group, pair, base, offset, near = _faulty_terms(signs, signed, sa0, sa1, geom, layer)
+    group, pair, base, offset, row = _faulty_terms(signs, sa0, sa1, geom, layer)
     swap = ((pair ^ (pair >> bits)) & np.uint32(low)) * np.uint32(both)
     digit_of_pair = _key_tables(bits)[0]
-    dec = decode_table(bits, layer.mode).astype(np.float64)
+    err_of = _cvm_tables(bits, layer.mode)[0].reshape(-1)
     flipped = np.empty(group.size, dtype=np.uint32)
     key = np.empty_like(flipped)
-    err = np.empty(group.size, dtype=np.float64)
+    err = np.empty(group.size, dtype=np.uint8)
     best = np.full(size, np.inf)
     better = np.empty(size, dtype=bool)
     best_word = np.zeros(size, dtype=np.uint16)
@@ -394,9 +400,8 @@ def _best_words(
         flipped ^= pair
         digit_of_pair.take(flipped, out=key)
         key += offset[sign]
-        dec.take(lookup(key), out=err)
-        err -= near[sign]
-        score = np.bincount(group, weights=np.abs(err, out=err), minlength=size)
+        np.add(lookup(key), row[sign], out=flipped)
+        score = np.bincount(group, weights=err_of.take(flipped, out=err), minlength=size)
         score += base[sign]
         np.less(score, best, out=better)
         np.copyto(best, score, where=better)
@@ -461,7 +466,7 @@ def _batches(stuck: np.ndarray, lo: int, hi: int, flip_bits: int):
 
 
 def _subset_words(
-    signs, flip_bits, signed, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, lookup
+    signs, flip_bits, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, lookup
 ) -> np.ndarray:
     """The words of :func:`_best_words`, scored all at once by subset sums.
 
@@ -489,10 +494,10 @@ def _subset_words(
     bits, nsub = layer.bits, 1 << flip_bits
     width = len(signs) * nsub
     size = geom.num_chunks * layer.cols
-    group, pair, base, offset, near = _faulty_terms(signs, signed, sa0, sa1, geom, layer)
+    group, pair, base, offset, row = _faulty_terms(signs, sa0, sa1, geom, layer)
     stuck = (pair ^ (pair >> bits)) & np.uint32(nsub - 1)
     digit_of_pair = _key_tables(bits)[0]
-    dec = decode_table(bits, layer.mode).astype(np.float64)
+    err_of = _cvm_tables(bits, layer.mode)[0].reshape(-1)
     both = np.uint32((1 << bits) + 1)  # s * both == s << bits | s
     span = max(1, _SCORE_BYTES // (8 * width))
     best = np.empty(size, dtype=np.int64)
@@ -506,9 +511,9 @@ def _subset_words(
             flipped = digit_of_pair.take(pair[w] ^ sub * both)
             at = sub * np.uint32(g1 - g0) + (group[w] - g0)
             for s, sign in enumerate(signs):
-                err = dec.take(lookup(flipped + offset[sign][w]))
-                err -= near[sign][w]
-                _subset_pass(np.abs(err, out=err), f, inverse=True)
+                index = lookup(flipped + offset[sign][w]) + row[sign][w]
+                err = err_of.take(index).astype(np.float64)
+                _subset_pass(err, f, inverse=True)
                 np.add.at(
                     score.reshape(-1), (at + s * nsub * (g1 - g0)).ravel(), err.ravel()
                 )
@@ -564,15 +569,13 @@ def build_layout(
                 f"LUT built for ({table.bits}-bit, {table.mode}) cannot map a "
                 f"({bits}-bit, {layer.mode}) layer"
             )
-        targets = layer.values()
-        signed = (targets, -targets)
         if scheme != SCHEME_CVM:
             signs, flip_bits = ((0, 1), 0) if scheme == SCHEME_SIGNFLIP else ((0,), bits)
             search = _best_words if lut is None else _subset_words
-            word = search(signs, flip_bits, signed, sa0, sa1, geom, layer, table.lookup)
+            word = search(signs, flip_bits, sa0, sa1, geom, layer, table.lookup)
         row_word = geom.per_row(word)
         j = row_word & ((1 << bits) - 1)
-        target = np.where(row_word >> bits, signed[1], signed[0])
+        target = _signed_codes(bits, layer.mode)[0][row_word >> bits, layer.codes]
         stored = table.map_codes(target, *transform_packed_for_flip(sa0, sa1, j)) ^ j
     k = np.arange(bits, dtype=np.uint16)
     return MappedLayout(

@@ -32,8 +32,12 @@ class QuantizedTensor:
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     # numpy's round() is round-half-even; fix the rounding mode for
     # determinism across platforms.  One temporary, rounded in place.
+    # Adding the largest double below one half, not one half, gives
+    # floor(r) + (r - floor(r) >= 0.5) exactly: an exact half k + 0.5 still
+    # sums to k + 1, while 0.49999999999999994 stays at 0 and odd integers
+    # from 2**52 up stay unchanged (adding 0.5 rounds both up).
     r = np.abs(x)
-    r += 0.5
+    r += np.nextafter(0.5, 0.0)
     np.floor(r, out=r)
     return np.copysign(r, x, out=r)
 

@@ -1,4 +1,6 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +224,44 @@ def test_json_round_trip(tmp_path):
     obj = json.loads(path.read_text())
     assert obj["rows"] == 6 and obj["cols"] == 4 and obj["bits"] == 8
     assert set(np.unique(obj["data"])) <= {-1, 0, 1}
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(0, 4, 3), (3, 5, 2), (100, 100, 7), (200, 100, 8)],
+    ids=["empty", "small", "one-partial-block", "three-blocks"],
+)
+@pytest.mark.parametrize(
+    "extra",
+    [
+        None,
+        {},
+        {"config": {"note": "data", "args": [1, 2]}, "tool": "data"},
+        {"rows": 9, "more": 1},  # replaces a shape key in place
+        {"data": "replaced", "more": 2},  # replaces the cells
+    ],
+    ids=["none", "empty", "config", "shape-key", "data-key"],
+)
+def test_save_writes_the_bytes_of_one_json_dumps(tmp_path, shape, extra):
+    # The cells are encoded in blocks of 65,536; sizes of 70,000 and
+    # 160,000 cells end in a partial block.
+    mask = SafMask(np.random.default_rng(2).integers(-1, 2, size=shape))
+    path = tmp_path / "mask.json"
+    mask.save(path, extra=extra)
+    assert path.read_bytes() == json.dumps({**mask.to_json_dict(), **(extra or {})}).encode()
+
+
+def test_save_peak_memory():
+    # Encoding the cells blockwise holds no list of 2**21 Python ints; one
+    # json.dumps of to_json_dict() peaks at about 28 MiB here.
+    mask = gen_saf_mask(FaultInjectionSpec(rate=0.05, seed=1), (512, 512, 8))
+    tracemalloc.start()
+    try:
+        mask.save(os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,7 +22,6 @@ from safmap.numfmt import (
     MODE_UNSIGNED as UNSIGNED,
     OutOfRangeError,
     decode,
-    decode_table,
 )
 
 
@@ -45,11 +44,12 @@ def test_n2_table_matches_oracle_everywhere(mode):
 
 
 def test_clamped_out_of_range_target():
-    lut = build_cvm_lut(4, TWOS)
+    from safmap.mapping import cvm_codes
+
     # +8 is unrepresentable in 4-bit two's complement; clamp to +7, then the
     # stuck-at-1 sign bit pushes the closest legal value to -1 (0b1111).
     sa0, sa1 = cell_to_packed([FF, FF, FF, SA1])
-    assert lut.map_codes(np.array([8]), [sa0], [sa1]).tolist() == [0b1111]
+    assert cvm_codes(np.array([8]), [sa0], [sa1], 4, TWOS).tolist() == [0b1111]
 
 
 def test_serialization_round_trip(tmp_path):
@@ -128,7 +128,7 @@ def test_map_codes_matches_direct_engine_random_n8():
     sa1 = (rng.integers(0, 256, size=size).astype(np.uint16)) & ~sa0
     targets = decode_table(8, TWOS)[codes]
     assert np.array_equal(
-        lut.map_codes(targets, sa0, sa1),
+        lut.map_codes(codes, sa0, sa1),
         cvm_codes(targets, sa0, sa1, 8, TWOS),
     )
 
@@ -150,9 +150,10 @@ def test_n8_every_bit_stuck_at_the_far_extreme(mode, target, sa0, sa1):
     cell = [SA0 if (sa0 >> k) & 1 else SA1 for k in range(8)]
     want, err = brute_cvm(target, cell, 8, mode)
     assert (want, err) == (sa1, 255)
-    args = (np.array([target]), np.array([sa0]), np.array([sa1]))
-    assert cvm_codes(*args, 8, mode).tolist() == [want]
-    assert build_cvm_lut(8, mode).map_codes(*args).tolist() == [want]
+    sa0, sa1 = np.array([sa0]), np.array([sa1])
+    assert cvm_codes(np.array([target]), sa0, sa1, 8, mode).tolist() == [want]
+    code = np.array([target & 0xFF])
+    assert build_cvm_lut(8, mode).map_codes(code, sa0, sa1).tolist() == [want]
 
 
 @pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
@@ -177,13 +178,12 @@ def test_on_demand_table_matches_full_table_on_every_key(bits, mode):
     full = build_cvm_lut(bits, mode)
     keys = np.arange(6**bits, dtype=np.uint32)
     assert np.array_equal(OnDemandLut(bits, mode).lookup(keys), full.lookup(keys))
-    # The same keys as (target, sa0, sa1) triples, through map_codes.
+    # The same keys as (target code, sa0, sa1) triples, through map_codes.
     code, digits = np.divmod(keys, 3**bits)
     sa0, sa1 = packed_from_fault_digits(digits, bits)
-    targets = decode_table(bits, mode)[code]
-    got = OnDemandLut(bits, mode).map_codes(targets, sa0, sa1)
+    got = OnDemandLut(bits, mode).map_codes(code, sa0, sa1)
     assert got.dtype == np.uint16
-    assert np.array_equal(got, full.map_codes(targets, sa0, sa1))
+    assert np.array_equal(got, full.map_codes(code, sa0, sa1))
     # Reading every entry solves the keys no lookup has met.
     partial = OnDemandLut(bits, mode)
     partial.lookup(keys[::7])
@@ -240,7 +240,4 @@ def test_on_demand_table_fills_up_over_calls_n8(mode):
         assert np.array_equal(got, full.lookup(keys))
     code, digits = np.divmod(batches[3], 3**8)
     sa0, sa1 = packed_from_fault_digits(digits, 8)
-    targets = decode_table(8, mode)[code]
-    assert np.array_equal(
-        lazy.map_codes(targets, sa0, sa1), full.map_codes(targets, sa0, sa1)
-    )
+    assert np.array_equal(lazy.map_codes(code, sa0, sa1), full.map_codes(code, sa0, sa1))

@@ -42,6 +42,7 @@ from safmap.numfmt import (
     MODE_TWOS_COMPLEMENT as TWOS,
     MODE_UNSIGNED as UNSIGNED,
     OutOfRangeError,
+    clamp_array,
     decode_table,
     encode_array,
     value_range,
@@ -360,6 +361,41 @@ def test_bitflip_search_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("scheme", [SCHEME_CVM, SCHEME_SIGNFLIP, SCHEME_BITFLIP])
+def test_build_layout_peak_memory_per_weight(scheme):
+    # Mapping works on weight codes: no decoded, negated or clamped target
+    # array and no float64 error terms, so with a prebuilt table one call on
+    # 2**18 weights stays under 40 B per weight (it was 54 B with them).
+    table = build_cvm_lut(8, TWOS)
+    rng = np.random.default_rng(0)
+    layer = LayerWeights(rng.integers(0, 256, size=(512, 512)).astype(np.uint16), 8, TWOS)
+    mask = sample_saf_mask(rng, (512, 512, 8), 0.05)
+    build_layout(scheme, layer, mask, 64, lut=table)  # fills the cached tables
+    tracemalloc.start()
+    try:
+        build_layout(scheme, layer, mask, 64, lut=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_signed_codes_are_the_clamped_signed_targets(bits, mode):
+    from safmap.mapping import _signed_codes
+
+    code, cost = _signed_codes(bits, mode)
+    dec = decode_table(bits, mode).astype(np.int64)
+    for sign, signed in enumerate((dec, -dec)):
+        clamped = clamp_array(signed, bits, mode)
+        assert np.array_equal(code[sign], clamped & ((1 << bits) - 1))
+        assert np.array_equal(decode_table(bits, mode)[code[sign]], clamped)
+        assert np.array_equal(cost[sign], np.abs(clamped - signed))
+    assert code.shape == cost.shape == (2, 1 << bits)
+    assert not (code.flags.writeable or cost.flags.writeable)
 
 
 def test_oracle_solves_each_key_once_per_call(monkeypatch):

@@ -37,7 +37,8 @@ def test_round_half_away_from_zero():
 
 
 def reference_round_half_away(x):
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    whole = np.floor(np.abs(x))
+    return np.sign(x) * (whole + (np.abs(x) - whole >= 0.5))
 
 
 ROUNDING_EDGES = np.concatenate([
@@ -57,6 +58,33 @@ def test_rounding_matches_reference_on_edge_values():
         q = quantize(x, 8, TWOS)
         want = np.clip(reference_round_half_away(x / q.scale), -128, 127)
         assert np.array_equal(q.codes, want.astype(np.int64))
+
+
+def test_rounding_just_below_one_half_and_above_two_to_52():
+    # |x| + 0.5 rounds to 1.0 at the largest double below one half, and to
+    # the next even integer at odd integers from 2**52 up.
+    x = np.array([0.49999999999999994, -0.49999999999999994, 2.0**52 + 1, -(2.0**52 + 1)])
+    assert _round_half_away(x).tolist() == [0.0, -0.0, 2.0**52 + 1, -(2.0**52 + 1)]
+    q = quantize(np.array([0.49999999999999994, 127.0]), 8, TWOS)
+    assert q.codes.tolist() == [0, 127]
+
+
+def test_rounding_matches_reference_next_to_halves_and_integers():
+    # Adding the largest double below one half must agree with the fraction
+    # form on the doubles next to every half and integer, at all magnitudes.
+    halves = np.concatenate([
+        np.arange(-2**12, 2**12) + 0.5, 2.0 ** np.arange(52) + 0.5, 2.0 ** np.arange(-60, 64)
+    ])
+    ints = np.concatenate([
+        np.arange(-2**12, 2**12, dtype=np.float64), 2.0**52 + np.arange(-64, 64),
+        2.0**53 + np.arange(-64, 64),
+    ])
+    x = np.concatenate([halves, ints])
+    x = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+    patterns = np.random.default_rng(0).integers(0, 2**63, 100_000, dtype=np.uint64)
+    finite = patterns.view(np.float64)[np.isfinite(patterns.view(np.float64))]
+    x = np.concatenate([x, -x, finite, -finite])
+    assert np.array_equal(_round_half_away(x), reference_round_half_away(x))
 
 
 def test_all_zero_tensor():
