@@ -35,5 +35,5 @@ from .mapping import (
     mapping_error,
 )
 from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, OutOfRangeError, decode
-from .quant import NonFiniteError, QuantizedTensor, dequantize, quantize
+from .quant import NonFiniteError, QuantizedTensor, quantize
 from .toymodel import ToyModel, TrainingDivergedError, make_blob_dataset, train_toy

@@ -1,9 +1,9 @@
 """Stuck-at-fault masks: representation, random injection, packed bit masks.
 
 A fault mask is a ternary tensor over (row, col, bit): -1 = stuck-at-0,
-0 = fault-free, +1 = stuck-at-1.  For vectorized work the per-cell states
-are packed into two per-weight bit masks (``sa0``/``sa1``), one bit per
-slice, which every hot path in this package operates on.
+0 = fault-free, +1 = stuck-at-1.  A mask packs its cells once, when it is
+built, into one uint16 pair ``sa1 << bits | sa0`` per weight (one bit per
+slice in each half), which is what every hot path in this package reads.
 
 Mask generation uses numpy's PCG64 generator seeded with the integer
 sequence ``[seed, trial_index]`` (or ``[seed, trial, layer]`` in the
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,17 +56,35 @@ class FaultInjectionSpec:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SafMask:
-    """Ternary stuck-at states for an M x K matrix of n-bit weights."""
+    """Ternary stuck-at states for an M x K matrix of n-bit weights, and
+    their packed pairs.  Both arrays are read-only (``cells`` is a view of
+    the array given, not a copy), so nothing written through the mask can
+    make them disagree."""
 
     cells: np.ndarray  # int8, shape (M, K, n), entries in {-1, 0, +1}
+    # uint16, shape (M, K): sa1 << n | sa0, bit k of each half for slice k
+    pair: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.cells = int_array(self.cells, "fault mask cells", SA0, SA1, np.int8)
-        if self.cells.ndim != 3:
+        cells = int_array(self.cells, "fault mask cells", SA0, SA1, np.int8).view()
+        if cells.ndim != 3:
             raise ValueError("mask must have shape (rows, cols, bits)")
-        check_width(self.cells.shape[2])
+        check_width(cells.shape[2])
+        # Each state's (M, K, n) comparison goes into an (M, K, 8) buffer
+        # whose unused high bits stay 0, which ``packbits`` turns into one
+        # byte per weight.
+        rows, cols, bits = cells.shape
+        buf = np.zeros((rows, cols, 8), dtype=bool)
+        pair = np.zeros((rows, cols), dtype=np.uint16)
+        for state, shift in ((SA0, 0), (SA1, bits)):
+            np.equal(cells, state, out=buf[:, :, :bits])
+            half = np.packbits(buf.reshape(-1), bitorder="little").reshape(rows, cols)
+            pair |= half.astype(np.uint16) << shift
+        cells.flags.writeable = pair.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "pair", pair)
 
     @property
     def rows(self) -> int:
@@ -81,22 +99,9 @@ class SafMask:
         return self.cells.shape[2]
 
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sa0, sa1) bit masks of shape (M, K), one bit per slice (LSB first).
-
-        Each state's (M, K, n) comparison goes into an (M, K, 8) buffer
-        whose unused high bits stay 0, which ``packbits`` turns into one
-        byte per weight."""
-        rows, cols, bits = self.cells.shape
-        buf = np.zeros((rows, cols, 8), dtype=bool)
-        out = []
-        for state in (SA0, SA1):
-            np.equal(self.cells, state, out=buf[:, :, :bits])
-            out.append(
-                np.packbits(buf.reshape(-1), bitorder="little")
-                .reshape(rows, cols)
-                .astype(np.uint16)
-            )
-        return out[0], out[1]
+        """(sa0, sa1) bit masks of shape (M, K), one bit per slice (LSB
+        first): the two halves of ``pair``."""
+        return self.pair & np.uint16((1 << self.bits) - 1), self.pair >> self.bits
 
     def num_faulty(self) -> int:
         return int((self.cells != FAULT_FREE).sum())
@@ -210,15 +215,6 @@ def _key_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
     return digits, packed
 
 
-def fault_digits_from_packed(
-    sa0: np.ndarray, sa1: np.ndarray, bits: int
-) -> np.ndarray:
-    """Base-3 fault digits from packed (sa0, sa1) bit masks; ``sa0 & sa1``
-    must be empty (a cell is stuck at one value)."""
-    pair = (np.asarray(sa1, dtype=np.uint32) << bits) | np.asarray(sa0, dtype=np.uint32)
-    return _key_tables(bits)[0][pair]
-
-
 def packed_from_fault_digits(
     digits: np.ndarray, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -227,20 +223,18 @@ def packed_from_fault_digits(
     return (pair & ((1 << bits) - 1)).astype(np.uint16), (pair >> bits).astype(np.uint16)
 
 
-def transform_packed_for_flip(
-    sa0: np.ndarray, sa1: np.ndarray, j: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Swap SA0 <-> SA1 at every bit position set in the flip mask ``j``.
+def flip_pairs(pair: np.ndarray, j: int | np.ndarray, bits: int) -> np.ndarray:
+    """Packed pairs with SA0 <-> SA1 swapped at every bit set in the flip
+    mask ``j``.
 
     A stored stuck-at-1 bit in a flipped slice contributes an effective 0
     after digital correction, so in the effective domain its fault acts as
-    stuck-at-0 (and vice versa).  The swap toggles both masks where
-    ``(sa0 ^ sa1) & j`` is set.  Involutive in j.
+    stuck-at-0 (and vice versa).  A stuck bit is set in exactly one half of
+    the pair, so with s = (sa0 ^ sa1) & j the swap toggles
+    ``s << bits | s``.  Involutive in j.
     """
-    sa0 = np.asarray(sa0, dtype=np.uint16)
-    sa1 = np.asarray(sa1, dtype=np.uint16)
-    swap = (sa0 ^ sa1) & np.asarray(j, dtype=np.uint16)
-    return sa0 ^ swap, sa1 ^ swap
+    swap = (pair ^ (pair >> bits)) & j & ((1 << bits) - 1)
+    return pair ^ swap * ((1 << bits) + 1)
 
 
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)

@@ -217,9 +217,12 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
                 np.abs(eff - lw.values()).reshape(lw.rows, spec.trials, -1).sum(axis=(0, 2))
                 for eff, lw in zip(effective, tiled)
             )
+            # One float64 cast per stacked layout; quantized_predict takes
+            # each trial's block of it as it is.
+            blocks = [np.hsplit(eff.astype(np.float64), spec.trials) for eff in effective]
             accs = [
                 float((quantized_predict(qmodel, x_codes, weights) == y_test).mean())
-                for weights in zip(*(np.hsplit(eff, spec.trials) for eff in effective))
+                for weights in zip(*blocks)
             ]
             results.append(
                 ResultRow(

@@ -66,11 +66,10 @@ class CvmLut:
         :func:`safmap.mapping.closest_codes`."""
         return self.entries.take(keys)
 
-    def map_codes(
-        self, codes: np.ndarray, sa0: np.ndarray, sa1: np.ndarray
-    ) -> np.ndarray:
-        """Closest legal code of each (target code, fault) pair."""
-        return self.lookup(table_keys(codes, sa0, sa1, self.bits)).astype(np.uint16)
+    def map_codes(self, codes: np.ndarray, pair: np.ndarray) -> np.ndarray:
+        """Closest legal code of each target code under its packed fault
+        pair ``sa1 << bits | sa0``."""
+        return self.lookup(table_keys(codes, pair, self.bits)).astype(np.uint16)
 
 
 class OnDemandLut(CvmLut):

@@ -40,10 +40,9 @@ from .faults import (
     _POPCOUNT8,
     SafMask,
     _key_tables,
-    fault_digits_from_packed,
+    flip_pairs,
     force_write_array,
     packed_from_fault_digits,
-    transform_packed_for_flip,
 )
 from .numfmt import (
     MODE_TWOS_COMPLEMENT,
@@ -179,12 +178,11 @@ def _signed_codes(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
     return code, cost
 
 
-def table_keys(
-    codes: np.ndarray, sa0: np.ndarray, sa1: np.ndarray, bits: int
-) -> np.ndarray:
-    """Table key ``code * 3**bits + digits`` of each (target code, fault)
-    pair, with the base-3 fault digits of packed masks (``sa0 & sa1`` empty)."""
-    keys = fault_digits_from_packed(sa0, sa1, bits)
+def table_keys(codes: np.ndarray, pair: np.ndarray, bits: int) -> np.ndarray:
+    """Table key ``code * 3**bits + digits`` of each target code and packed
+    fault pair ``sa1 << bits | sa0`` (``sa0 & sa1`` empty), with the pair's
+    base-3 fault digits."""
+    keys = _key_tables(bits)[0].take(pair)
     keys += np.asarray(codes, dtype=np.uint32) * np.uint32(3**bits)
     return keys
 
@@ -212,9 +210,11 @@ def closest_codes(keys: np.ndarray, bits: int, mode: str) -> np.ndarray:
 def cvm_codes(
     targets: np.ndarray, sa0: np.ndarray, sa1: np.ndarray, bits: int, mode: str
 ) -> np.ndarray:
-    """Closest codes of each (decoded target, fault) pair, the target clamped."""
+    """Closest codes of each decoded target under packed (sa0, sa1) masks,
+    the target clamped."""
     codes = clamp_array(targets, bits, mode) & ((1 << bits) - 1)
-    return closest_codes(table_keys(codes, sa0, sa1, bits), bits, mode)
+    pair = np.asarray(sa1, dtype=np.uint16) << bits | np.asarray(sa0, dtype=np.uint16)
+    return closest_codes(table_keys(codes, pair, bits), bits, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +341,16 @@ class MappedLayout:
 # ---------------------------------------------------------------------------
 
 
-def _faulty_terms(signs, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights):
-    """The faulty weights (a stuck bit in any slice) in (chunk, column)
-    group order, as ``(group, pair, base, offset, row)``: their groups, their
-    packed pairs ``sa1 << bits | sa0``, and per sign the chunk sums of the
-    clamp costs flattened over (chunk, column), and, for each faulty
-    weight's signed target code, ``code * 3**bits`` and ``code << bits``."""
+def _faulty_terms(signs, pair, geom: ChunkGeometry, layer: LayerWeights):
+    """The faulty weights (a stuck bit in any slice) of an (M, K) array of
+    packed pairs ``sa1 << bits | sa0``, in (chunk, column) group order, as
+    ``(group, pair, base, offset, row)``: their groups, their pairs, and per
+    sign the chunk sums of the clamp costs flattened over (chunk, column),
+    and, for each faulty weight's signed target code, ``code * 3**bits`` and
+    ``code << bits``."""
     bits, (code_of, cost) = layer.bits, _signed_codes(layer.bits, layer.mode)
-    flat, group = _faulty_by_group(sa0, sa1, geom)
-    pair = (sa1.ravel().take(flat).astype(np.uint32) << bits) | sa0.ravel().take(flat)
+    flat, group = _faulty_by_group(pair, geom)
+    pair = pair.ravel().take(flat)
     base, offset, row = {}, {}, {}
     for sign in signs:
         base[sign] = geom.chunk_sums(cost[sign].take(layer.codes)).ravel()
@@ -359,7 +360,7 @@ def _faulty_terms(signs, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights):
 
 
 def _best_words(
-    signs, flip_bits, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, lookup
+    signs, flip_bits, pair, geom: ChunkGeometry, layer: LayerWeights, lookup
 ) -> np.ndarray:
     """Per (chunk, column), the correction word with the least summed error,
     one word at a time: the exhaustive search, the oracle of
@@ -375,33 +376,27 @@ def _best_words(
     |clamp(t) - t|, the same for every j, plus |decoded - clamp(t)|.  The
     first part is summed once per sign.  The second is 0 for a weight with
     no stuck bit, which maps to clamp(t) itself, so only the faulty weights
-    are solved per word, straight from their table keys.  Flipping j swaps
-    SA0 and SA1 where ``(sa0 ^ sa1) & j`` is set: one XOR on the packed
-    pair ``sa1 << bits | sa0``.  The sums are integers far below 2**53, so
-    the float64 bincounts are exact.
+    are solved per word, straight from their table keys, with their packed
+    pairs flipped by :func:`safmap.faults.flip_pairs`.  The sums are integers
+    far below 2**53, so the float64 bincounts are exact.
     """
     bits, low = layer.bits, (1 << layer.bits) - 1
     words = [sign << bits | j for sign in signs for j in range(1 << flip_bits)]
-    both = (1 << bits) + 1  # j * both == j << bits | j
     size = geom.num_chunks * layer.cols
-    group, pair, base, offset, row = _faulty_terms(signs, sa0, sa1, geom, layer)
-    swap = ((pair ^ (pair >> bits)) & np.uint32(low)) * np.uint32(both)
+    group, pair, base, offset, row = _faulty_terms(signs, pair, geom, layer)
     digit_of_pair = _key_tables(bits)[0]
     err_of = _cvm_tables(bits, layer.mode)[0].reshape(-1)
-    flipped = np.empty(group.size, dtype=np.uint32)
-    key = np.empty_like(flipped)
+    key = np.empty(group.size, dtype=np.uint32)
     err = np.empty(group.size, dtype=np.uint8)
     best = np.full(size, np.inf)
     better = np.empty(size, dtype=bool)
     best_word = np.zeros(size, dtype=np.uint16)
     for word in words:
         sign = word >> bits
-        np.bitwise_and(swap, np.uint32((word & low) * both), out=flipped)
-        flipped ^= pair
-        digit_of_pair.take(flipped, out=key)
+        digit_of_pair.take(flip_pairs(pair, word & low, bits), out=key)
         key += offset[sign]
-        np.add(lookup(key), row[sign], out=flipped)
-        score = np.bincount(group, weights=err_of.take(flipped, out=err), minlength=size)
+        np.add(lookup(key), row[sign], out=key)
+        score = np.bincount(group, weights=err_of.take(key, out=err), minlength=size)
         score += base[sign]
         np.less(score, best, out=better)
         np.copyto(best, score, where=better)
@@ -409,10 +404,11 @@ def _best_words(
     return best_word.reshape(geom.num_chunks, layer.cols)
 
 
-def _faulty_by_group(sa0, sa1, geom: ChunkGeometry):
-    """Flat (M, K) indices of the weights with a stuck bit and their
-    (chunk, column) groups ``chunk * K + column``, sorted by group."""
-    faulty = (sa0 | sa1) != 0
+def _faulty_by_group(pair, geom: ChunkGeometry):
+    """Flat (M, K) indices of the weights with a stuck bit (a nonzero packed
+    pair) and their (chunk, column) groups ``chunk * K + column``, sorted by
+    group."""
+    faulty = pair != 0
     cols = faulty.shape[1]
     pad = geom.num_chunks * geom.row_len - geom.rows
     if pad:
@@ -466,7 +462,7 @@ def _batches(stuck: np.ndarray, lo: int, hi: int, flip_bits: int):
 
 
 def _subset_words(
-    signs, flip_bits, sa0, sa1, geom: ChunkGeometry, layer: LayerWeights, lookup
+    signs, flip_bits, pair, geom: ChunkGeometry, layer: LayerWeights, lookup
 ) -> np.ndarray:
     """The words of :func:`_best_words`, scored all at once by subset sums.
 
@@ -494,7 +490,7 @@ def _subset_words(
     bits, nsub = layer.bits, 1 << flip_bits
     width = len(signs) * nsub
     size = geom.num_chunks * layer.cols
-    group, pair, base, offset, row = _faulty_terms(signs, sa0, sa1, geom, layer)
+    group, pair, base, offset, row = _faulty_terms(signs, pair, geom, layer)
     stuck = (pair ^ (pair >> bits)) & np.uint32(nsub - 1)
     digit_of_pair = _key_tables(bits)[0]
     err_of = _cvm_tables(bits, layer.mode)[0].reshape(-1)
@@ -508,6 +504,8 @@ def _subset_words(
         score = np.zeros((width, g1 - g0))
         for f, w in _batches(stuck, lo, hi, flip_bits):
             sub = _subsets(stuck[w], f)
+            # Every subset holds stuck bits only, so toggling both halves
+            # of the pair at it is the flip_pairs swap.
             flipped = digit_of_pair.take(pair[w] ^ sub * both)
             at = sub * np.uint32(g1 - g0) + (group[w] - g0)
             for s, sign in enumerate(signs):
@@ -556,10 +554,9 @@ def build_layout(
         raise UnsignedLayerError("sign-flip requires two's-complement weights")
     bits = layer.bits
     geom = ChunkGeometry(layer.rows, row_len)
-    sa0, sa1 = mask.packed()
     word = np.zeros((geom.num_chunks, layer.cols), dtype=np.uint16)
     if scheme == SCHEME_NAIVE:
-        stored = force_write_array(layer.codes, sa0, sa1)
+        stored = force_write_array(layer.codes, *mask.packed())
     else:
         from .lut import OnDemandLut  # lut imports this module
 
@@ -572,11 +569,11 @@ def build_layout(
         if scheme != SCHEME_CVM:
             signs, flip_bits = ((0, 1), 0) if scheme == SCHEME_SIGNFLIP else ((0,), bits)
             search = _best_words if lut is None else _subset_words
-            word = search(signs, flip_bits, sa0, sa1, geom, layer, table.lookup)
+            word = search(signs, flip_bits, mask.pair, geom, layer, table.lookup)
         row_word = geom.per_row(word)
         j = row_word & ((1 << bits) - 1)
         target = _signed_codes(bits, layer.mode)[0][row_word >> bits, layer.codes]
-        stored = table.map_codes(target, *transform_packed_for_flip(sa0, sa1, j)) ^ j
+        stored = table.map_codes(target, flip_pairs(mask.pair, j, bits)) ^ j
     k = np.arange(bits, dtype=np.uint16)
     return MappedLayout(
         scheme=scheme,

@@ -67,7 +67,3 @@ def quantize(x: np.ndarray, bits: int, mode: str) -> QuantizedTensor:
         _round_half_away(x / scale).astype(np.int64), bits, mode
     )
     return QuantizedTensor(codes=codes, scale=scale, bits=bits, mode=mode)
-
-
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    return q.codes.astype(np.float64) * q.scale

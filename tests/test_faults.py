@@ -15,14 +15,14 @@ from safmap.faults import (
     FaultInjectionSpec,
     InvalidRateError,
     SafMask,
+    _key_tables,
     count_unmasked,
-    fault_digits_from_packed,
+    flip_pairs,
     force_write_array,
     gen_saf_mask,
     mask_rng,
     packed_from_fault_digits,
     sample_saf_mask,
-    transform_packed_for_flip,
 )
 from safmap.numfmt import OutOfRangeError
 
@@ -35,7 +35,7 @@ def packed(cell) -> tuple[np.ndarray, np.ndarray]:
 def test_key_digit_round_trip():
     for pattern, cell in all_fault_cells(4):
         sa0, sa1 = cell_to_packed(cell)
-        digits = int(fault_digits_from_packed(np.array([sa0]), np.array([sa1]), 4)[0])
+        digits = int(_key_tables(4)[0][sa1 << 4 | sa0])
         assert digits == pattern
         assert [int(m) for m in packed_from_fault_digits(digits, 4)] == [sa0, sa1]
 
@@ -57,7 +57,9 @@ def test_force_write_examples():
 
 def test_transform_mask_examples():
     def flipped(cell, j):
-        return tuple(int(m[0]) for m in transform_packed_for_flip(*packed(cell), j))
+        sa0, sa1 = cell_to_packed(cell)
+        pair = int(flip_pairs(np.array([sa1 << 4 | sa0], dtype=np.uint16), j, 4)[0])
+        return pair & 0b1111, pair >> 4
 
     assert flipped([FF, FF, FF, SA1], 0b1000) == cell_to_packed([FF, FF, FF, SA0])
     cell = [SA0, SA1, FF, FF]
@@ -86,14 +88,16 @@ def test_masked_faults_are_benign_exhaustive_n4():
 def test_transform_is_involutive_and_preserves_fault_count():
     rng = np.random.default_rng(3)
     for width in range(1, 9):
-        sa0, sa1 = SafMask(rng.choice([SA0, FF, SA1], size=(6, 5, width))).packed()
+        mask = SafMask(rng.choice([SA0, FF, SA1], size=(6, 5, width)))
+        sa0, sa1 = mask.packed()
         for j in range(1 << width):
-            once = transform_packed_for_flip(sa0, sa1, j)
-            twice = transform_packed_for_flip(*once, j)
-            assert np.array_equal(twice[0], sa0) and np.array_equal(twice[1], sa1)
+            once = flip_pairs(mask.pair, j, width)
+            twice = flip_pairs(once, j, width)
+            assert np.array_equal(twice, mask.pair)
             # the same bits stay stuck, each at exactly one value
-            assert np.array_equal(once[0] | once[1], sa0 | sa1)
-            assert not (once[0] & once[1]).any()
+            once0, once1 = once & ((1 << width) - 1), once >> width
+            assert np.array_equal(once0 | once1, sa0 | sa1)
+            assert not (once0 & once1).any()
 
 
 def test_count_unmasked_examples():
@@ -208,11 +212,24 @@ def test_packed_matches_per_bit_packing(bits):
     ]
     assert not SafMask(cases[5]).cells.flags.c_contiguous
     for cells in cases:
-        sa0, sa1 = SafMask(cells).packed()
+        mask = SafMask(cells)
+        sa0, sa1 = mask.packed()
         want0, want1 = packed_per_bit(cells)
-        assert sa0.dtype == sa1.dtype == np.uint16
+        assert sa0.dtype == sa1.dtype == mask.pair.dtype == np.uint16
         assert np.array_equal(sa0, want0) and np.array_equal(sa1, want1)
+        assert np.array_equal(mask.pair, want1 << bits | want0)
     assert SafMask(cases[2]).packed()[0].max() == (1 << bits) - 1
+
+
+def test_mask_arrays_are_read_only():
+    # The pair is packed once from the cells; neither can be written after.
+    cells = np.zeros((2, 3, 4), dtype=np.int8)
+    mask = SafMask(cells)
+    with pytest.raises(ValueError, match="read-only"):
+        mask.cells[0, 0, 0] = SA1
+    with pytest.raises(ValueError, match="read-only"):
+        mask.pair[0, 0] = 1
+    assert not mask.pair.any()
 
 
 def test_json_round_trip(tmp_path):

@@ -30,7 +30,7 @@ def test_n1_table_has_six_entries():
     assert lut.entries.shape == (6,)
     # target 0: fault-free -> 0, SA1 -> 1, SA0 -> 0; target 1: SA0 forces 0
     sa0, sa1 = np.array([cell_to_packed(c) for c in ([FF], [SA1], [SA0], [SA0])]).T
-    assert lut.map_codes(np.array([0, 0, 0, 1]), sa0, sa1).tolist() == [0, 1, 0, 0]
+    assert lut.map_codes(np.array([0, 0, 0, 1]), sa1 << 1 | sa0).tolist() == [0, 1, 0, 0]
 
 
 @pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
@@ -128,7 +128,7 @@ def test_map_codes_matches_direct_engine_random_n8():
     sa1 = (rng.integers(0, 256, size=size).astype(np.uint16)) & ~sa0
     targets = decode_table(8, TWOS)[codes]
     assert np.array_equal(
-        lut.map_codes(codes, sa0, sa1),
+        lut.map_codes(codes, sa1 << 8 | sa0),
         cvm_codes(targets, sa0, sa1, 8, TWOS),
     )
 
@@ -153,7 +153,7 @@ def test_n8_every_bit_stuck_at_the_far_extreme(mode, target, sa0, sa1):
     sa0, sa1 = np.array([sa0]), np.array([sa1])
     assert cvm_codes(np.array([target]), sa0, sa1, 8, mode).tolist() == [want]
     code = np.array([target & 0xFF])
-    assert build_cvm_lut(8, mode).map_codes(code, sa0, sa1).tolist() == [want]
+    assert build_cvm_lut(8, mode).map_codes(code, sa1 << 8 | sa0).tolist() == [want]
 
 
 @pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
@@ -178,12 +178,12 @@ def test_on_demand_table_matches_full_table_on_every_key(bits, mode):
     full = build_cvm_lut(bits, mode)
     keys = np.arange(6**bits, dtype=np.uint32)
     assert np.array_equal(OnDemandLut(bits, mode).lookup(keys), full.lookup(keys))
-    # The same keys as (target code, sa0, sa1) triples, through map_codes.
+    # The same keys as (target code, sa1 << bits | sa0) pairs, through map_codes.
     code, digits = np.divmod(keys, 3**bits)
     sa0, sa1 = packed_from_fault_digits(digits, bits)
-    got = OnDemandLut(bits, mode).map_codes(code, sa0, sa1)
+    got = OnDemandLut(bits, mode).map_codes(code, sa1 << bits | sa0)
     assert got.dtype == np.uint16
-    assert np.array_equal(got, full.map_codes(code, sa0, sa1))
+    assert np.array_equal(got, full.map_codes(code, sa1 << bits | sa0))
     # Reading every entry solves the keys no lookup has met.
     partial = OnDemandLut(bits, mode)
     partial.lookup(keys[::7])
@@ -240,4 +240,5 @@ def test_on_demand_table_fills_up_over_calls_n8(mode):
         assert np.array_equal(got, full.lookup(keys))
     code, digits = np.divmod(batches[3], 3**8)
     sa0, sa1 = packed_from_fault_digits(digits, 8)
-    assert np.array_equal(lazy.map_codes(code, sa0, sa1), full.map_codes(code, sa0, sa1))
+    pair = sa1 << 8 | sa0
+    assert np.array_equal(lazy.map_codes(code, pair), full.map_codes(code, pair))

@@ -19,9 +19,9 @@ from safmap.faults import (
     SA1,
     FaultInjectionSpec,
     SafMask,
+    flip_pairs,
     gen_saf_mask,
     sample_saf_mask,
-    transform_packed_for_flip,
 )
 from safmap.lut import build_cvm_lut
 from safmap.mapping import (
@@ -247,15 +247,15 @@ def full_solve_words(scheme, layer, mask, row_len):
     every weight is mapped with ``cvm_codes`` under each word."""
     bits = layer.bits
     words = np.arange(1 << bits) if scheme == SCHEME_BITFLIP else np.array([0, 1 << bits])
-    sa0, sa1 = mask.packed()
+    low = (1 << bits) - 1
     targets = layer.values()
     dec = decode_table(bits, layer.mode).astype(np.int64)
     geom = ChunkGeometry(layer.rows, row_len)
     errs = []
     for word in words:
         target = -targets if word >> bits else targets
-        flipped = transform_packed_for_flip(sa0, sa1, word & ((1 << bits) - 1))
-        eff = cvm_codes(target, *flipped, bits, layer.mode)
+        flipped = flip_pairs(mask.pair, word & low, bits)
+        eff = cvm_codes(target, flipped & low, flipped >> bits, bits, layer.mode)
         errs.append(geom.chunk_sums(np.abs(dec[eff] - target)))
     return words[np.argmin(errs, axis=0)]
 
@@ -337,7 +337,7 @@ def test_faulty_by_group_matches_3d_nonzero(row_len):
     chunk, col, row = np.nonzero(
         padded.reshape(geom.num_chunks, row_len, cols).transpose(0, 2, 1)
     )
-    flat, group = _faulty_by_group(sa0, sa1, geom)
+    flat, group = _faulty_by_group(mask.pair, geom)
     assert 0 < flat.size < rows * cols
     assert np.array_equal(flat, (chunk * row_len + row) * cols + col)
     assert np.array_equal(group, chunk * cols + col)
@@ -380,6 +380,28 @@ def test_build_layout_peak_memory_per_weight(scheme):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize(
+    "scheme, mib", [(SCHEME_CVM, 6), (SCHEME_SIGNFLIP, 7), (SCHEME_BITFLIP, 6)]
+)
+def test_build_layout_reads_the_mask_packed_pair(scheme, mib):
+    # The mask packs its pairs when it is built, so one call holds no
+    # (M, K, 8) packing buffer and no uint32 copy of both masks: with a
+    # prebuilt table it stays under 24 B per weight for cvm and bit-flip
+    # and 28 B for sign-flip (27 and 29 B when it packed them itself).
+    table = build_cvm_lut(8, TWOS)
+    rng = np.random.default_rng(0)
+    layer = LayerWeights(rng.integers(0, 256, size=(512, 512)).astype(np.uint16), 8, TWOS)
+    mask = sample_saf_mask(rng, (512, 512, 8), 0.05)
+    build_layout(scheme, layer, mask, 64, lut=table)  # fills the cached tables
+    tracemalloc.start()
+    try:
+        build_layout(scheme, layer, mask, 64, lut=table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2**20
 
 
 @pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
