@@ -20,12 +20,16 @@ negatively and the sign-sign term positively.
 
 All arithmetic is exact integer math: ADC quantization, parasitics and
 partial-wordline-activation effects are out of the fidelity boundary.  The
-partial sums and the shift-and-add over slices run in float64, which holds
-every integer below 2**53 exactly: each partial sum, and each running sum
-inside the BLAS product, is an integer in [0, rows], and a shift-and-add
-over slices stays below 2**bits * rows (at most 2**8 * rows), far below
-2**53 for any chunk that fits in memory.  The stream weights and the sums
-over streams and chunks are int64.
+partial sums, the bit-flip correction and the shift-and-add over slices run
+in one float dtype, chosen per call from the chunk height
+h = min(row_len, rows).  Each partial sum, and each running sum inside the
+BLAS product, is an integer in [0, h]; a shift-and-add over slices, and each
+of its running sums, is an integer of magnitude at most (2**bits - 1) * h,
+since the plane weights' magnitudes sum to 2**bits - 1.  float32 holds every
+integer below 2**24 (its 24-bit significand) exactly, so the pipeline runs in
+float32 when (2**bits - 1) * h < 2**24 (at 8 bits, h <= 65,793) and in
+float64, exact below 2**53, above that bound.  The stream weights and the
+sums over streams and chunks are int64.
 """
 
 from __future__ import annotations
@@ -131,8 +135,13 @@ def mvm_simulate_batch(
         raise DimensionMismatchError("layout row_len does not match config")
 
     batch, cols = act_codes.shape[0], layout.cols
+    # Every float value below is an integer of magnitude at most
+    # (2**n - 1) * h, exact in float32 below 2**24 (see the module docstring).
+    h = min(cfg.row_len, layout.rows)
+    exact_below = 1 << (np.finfo(np.float32).nmant + 1)
+    dtype = np.float32 if ((1 << n) - 1) * h < exact_below else np.float64
     # Plane weights: the decoded value of each one-hot code.
-    wk = decode_table(n, cfg.weight_mode)[1 << np.arange(n)].astype(np.float64)
+    wk = decode_table(n, cfg.weight_mode)[1 << np.arange(n)].astype(dtype)
     al = decode_table(m, cfg.activation_mode)[1 << np.arange(m)].astype(np.int64)
     k = np.arange(n, dtype=layout.stored.dtype)[:, None]
 
@@ -140,25 +149,27 @@ def mvm_simulate_batch(
     for c, rows in enumerate(layout.geometry.slices()):
         # (rows, n * K): the n bit planes of the chunk's codes side by side.
         stored = layout.stored[rows]
-        planes = ((stored[:, None, :] >> k) & 1).astype(np.float64)
+        planes = ((stored[:, None, :] >> k) & 1).astype(dtype)
         planes = planes.reshape(len(stored), n * cols)
         # Bit-flip: sum_i - partial in the flipped slices' columns, computed
         # as partial * sign + sum_i * flip (a masked subtract is 3x slower).
-        flips = layout.b_flip[:, c, :].reshape(1, n * cols).astype(np.float64)
-        sign = 1.0 - 2.0 * flips
+        flips = layout.b_flip[:, c, :].reshape(1, n * cols).astype(dtype)
+        flipped = flips.any()
+        sign = 1 - 2 * flips if flipped else None
         a_chunk = act_codes[:, rows]
         chunk_out = np.zeros_like(total)
         for l in range(m):
-            a_bits = ((a_chunk >> l) & 1).astype(np.float64)  # (B, rows)
+            a_bits = ((a_chunk >> l) & 1).astype(dtype)  # (B, rows)
             partial = a_bits @ planes  # every slice's partial sums, (B, n * K)
-            if flips.any():
+            if flipped:
                 sum_i = a_bits.sum(axis=1, keepdims=True)  # shared adder tree
                 partial *= sign
                 partial += sum_i * flips
             shifted = wk @ partial.reshape(batch, n, cols)  # (B, K)
             chunk_out += al[l] * shifted.astype(np.int64)
         negate = layout.col_flip[c].astype(bool)
-        chunk_out[:, negate] = -chunk_out[:, negate]
+        if negate.any():
+            chunk_out[:, negate] = -chunk_out[:, negate]
         total += chunk_out
     return total
 

@@ -271,7 +271,8 @@ def test_out_of_range_activation_codes_rejected(code):
 
 
 # ---------------------------------------------------------------------------
-# Exactness of the float64 partial sums and simulator memory
+# Exactness of the float32 and float64 partial sums, at the chunk-height
+# bound between them, and simulator memory
 # ---------------------------------------------------------------------------
 
 
@@ -306,8 +307,9 @@ def test_all_ones_codes_at_eight_bits_are_exact(scheme, wmode, amode):
 
 @pytest.mark.parametrize("wmode", [UNSIGNED, TWOS])
 def test_one_long_chunk_with_every_slice_flipped_is_exact(wmode):
-    # 255 * rows is odd and above 2**24: float64 holds the unsigned
-    # shift-and-add of column 0 exactly, float32 would round it.
+    # 255 * rows is odd and above 2**24, so the chunk runs in float64, which
+    # holds the unsigned shift-and-add of column 0 exactly; float32 would
+    # round it.
     rng = np.random.default_rng(41)
     rows, cols = 70_001, 3
     stored = rng.integers(0, 256, size=(rows, cols))
@@ -316,6 +318,52 @@ def test_one_long_chunk_with_every_slice_flipped_is_exact(wmode):
     cfg = CrossbarConfig(row_len=rows, weight_mode=wmode)
     acts = rng.integers(0, 256, size=(4, rows))
     acts[0] = 255
+    got = mvm_simulate_batch(layout, acts, cfg)
+    assert np.array_equal(got, mvm_exact(layout.effective_values(), acts))
+
+
+# The tallest chunk that runs in float32 at 8 bits: 255 * 65,793 = 2**24 - 1.
+FLOAT32_ROWS = 65_793
+
+
+@pytest.mark.parametrize(
+    "scheme, wmode",
+    [
+        (SCHEME_NAIVE, UNSIGNED),
+        (SCHEME_NAIVE, TWOS),
+        (SCHEME_SIGNFLIP, TWOS),
+        (SCHEME_BITFLIP, UNSIGNED),
+        (SCHEME_BITFLIP, TWOS),
+    ],
+)
+def test_tallest_float32_chunk_is_exact(scheme, wmode):
+    # Every partial sum is the chunk's row count.  Column 0 stores 255, and
+    # column 1 stores 0, which reads as 255 with every slice flipped: the
+    # unsigned shift-and-add of each stream is then 2**24 - 1, the largest
+    # value the float32 path forms.
+    stored = np.tile([255, 0], (FLOAT32_ROWS, 1))
+    layout = flip_layout(scheme, stored, 8, wmode, FLOAT32_ROWS)
+    cfg = CrossbarConfig(row_len=FLOAT32_ROWS, weight_mode=wmode)
+    acts = np.full((1, FLOAT32_ROWS), 255)
+    got = mvm_simulate_batch(layout, acts, cfg)
+    assert np.array_equal(got, mvm_exact(layout.effective_values(), acts))
+
+
+@pytest.mark.parametrize("scheme", (SCHEME_NAIVE, SCHEME_BITFLIP))
+def test_shortest_float64_chunk_is_exact(scheme):
+    # One row above the float32 bound.  Code 255 in every row but one row of
+    # 254 makes the unsigned shift-and-add of every stream
+    # 255 * 65,794 - 1 = 16,777,469: odd and above 2**24, so float32 would
+    # round it.  The bit-flip layout stores the complement with every slice
+    # flipped, so its corrected partial sums are the same.
+    rows = FLOAT32_ROWS + 1
+    codes = np.full((rows, 1), 255)
+    codes[rows // 2] = 254
+    stored = codes if scheme == SCHEME_NAIVE else 255 - codes
+    layout = flip_layout(scheme, stored, 8, UNSIGNED, rows)
+    cfg = CrossbarConfig(row_len=rows, weight_mode=UNSIGNED)
+    acts = np.full((1, rows), 255)
+    assert layout.effective_values().tolist() == codes.tolist()
     got = mvm_simulate_batch(layout, acts, cfg)
     assert np.array_equal(got, mvm_exact(layout.effective_values(), acts))
 
@@ -329,8 +377,9 @@ def test_empty_batch_or_layer_gives_empty_int64_output(batch, cols):
 
 
 def test_simulator_peak_memory():
-    # Bit planes are built per chunk; building those of the whole layer at
-    # once, as int64, more than doubles the peak.
+    # Bit planes are built per chunk, in float32 at this chunk height;
+    # float64 planes and products peak near 7.4 MiB, and building the whole
+    # layer's planes at once, as int64, more than doubles that.
     rng = np.random.default_rng(0)
     layout = flip_layout(
         SCHEME_BITFLIP, rng.integers(0, 256, size=(512, 512)), 8, TWOS, 64,
@@ -343,7 +392,7 @@ def test_simulator_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14 * 2**20
+    assert peak < 5 * 2**20
 
 
 def test_activations_reject_values_they_would_truncate():
