@@ -8,9 +8,11 @@ forms the partial sums of all n slices at once: ``planes`` holds the n bit
 planes of the chunk's stored codes side by side.  Digital corrections are
 modeled functionally:
 
-* bit-flip: a flipped slice contributes ``sum(a_bits) - partial`` (the
-  activation-bit sum is computed once per chunk and stream and shared
-  across columns), applied BEFORE shift-and-add;
+* bit-flip: a flipped slice is stored inverted and the periphery recovers it
+  as ``sum(a_bits) - a_bits . b``, equal to ``a_bits . (1 - b)`` for every
+  0/1 input, so ``planes`` holds it complemented (stored bit XOR ``b_flip``,
+  as ``MappedLayout.effective_values`` reads it) and the product yields the
+  corrected partial sums, BEFORE shift-and-add;
 * sign-flip: the accumulated column output of a flipped chunk/column is
   negated AFTER shift-and-add.
 
@@ -20,11 +22,11 @@ negatively and the sign-sign term positively.
 
 All arithmetic is exact integer math: ADC quantization, parasitics and
 partial-wordline-activation effects are out of the fidelity boundary.  The
-partial sums, the bit-flip correction and the shift-and-add over slices run
-in one float dtype, chosen per call from the chunk height
-h = min(row_len, rows).  Each partial sum, and each running sum inside the
-BLAS product, is an integer in [0, h]; a shift-and-add over slices, and each
-of its running sums, is an integer of magnitude at most (2**bits - 1) * h,
+partial sums and the shift-and-add over slices run in one float dtype,
+chosen per call from the chunk height h = min(row_len, rows).  Each partial
+sum, complemented slice or not, and each running sum inside the BLAS
+product, is an integer in [0, h]; a shift-and-add over slices, and each of
+its running sums, is an integer of magnitude at most (2**bits - 1) * h,
 since the plane weights' magnitudes sum to 2**bits - 1.  float32 holds every
 integer below 2**24 (its 24-bit significand) exactly, so the pipeline runs in
 float32 when (2**bits - 1) * h < 2**24 (at 8 bits, h <= 65,793) and in
@@ -147,24 +149,16 @@ def mvm_simulate_batch(
 
     total = np.zeros((batch, cols), dtype=np.int64)
     for c, rows in enumerate(layout.geometry.slices()):
-        # (rows, n * K): the n bit planes of the chunk's codes side by side.
+        # (rows, n * K): the n bit planes of the chunk's codes side by side,
+        # each bit-flipped slice complemented (see the module docstring).
         stored = layout.stored[rows]
-        planes = ((stored[:, None, :] >> k) & 1).astype(dtype)
-        planes = planes.reshape(len(stored), n * cols)
-        # Bit-flip: sum_i - partial in the flipped slices' columns, computed
-        # as partial * sign + sum_i * flip (a masked subtract is 3x slower).
-        flips = layout.b_flip[:, c, :].reshape(1, n * cols).astype(dtype)
-        flipped = flips.any()
-        sign = 1 - 2 * flips if flipped else None
+        planes = ((stored[:, None, :] >> k) & 1) ^ layout.b_flip[:, c, :]
+        planes = planes.astype(dtype).reshape(len(stored), n * cols)
         a_chunk = act_codes[:, rows]
         chunk_out = np.zeros_like(total)
         for l in range(m):
             a_bits = ((a_chunk >> l) & 1).astype(dtype)  # (B, rows)
             partial = a_bits @ planes  # every slice's partial sums, (B, n * K)
-            if flipped:
-                sum_i = a_bits.sum(axis=1, keepdims=True)  # shared adder tree
-                partial *= sign
-                partial += sum_i * flips
             shifted = wk @ partial.reshape(batch, n, cols)  # (B, K)
             chunk_out += al[l] * shifted.astype(np.int64)
         negate = layout.col_flip[c].astype(bool)

@@ -222,9 +222,11 @@ def cvm_codes(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class MappedLayout:
-    """Stored codes for one layer plus the per-chunk correction masks."""
+    """Stored codes for one layer plus the per-chunk correction masks, held
+    as read-only views (not copies), so no write through the layout can put
+    a code or flag out of range after validation."""
 
     scheme: str
     bits: int
@@ -240,20 +242,23 @@ class MappedLayout:
         numfmt.check_width(self.bits)
         numfmt.check_mode(self.mode)
         hi = (1 << self.bits) - 1
-        self.stored = int_array(self.stored, "stored", 0, hi, np.uint16)
-        if self.stored.ndim != 2:
+        stored = int_array(self.stored, "stored", 0, hi, np.uint16).view()
+        if stored.ndim != 2:
             raise ValueError("stored codes must be an M x K matrix")
+        stored.flags.writeable = False
+        object.__setattr__(self, "stored", stored)
         chunks = self.geometry.num_chunks
         for name, shape, scheme in (
             ("col_flip", (chunks, self.cols), SCHEME_SIGNFLIP),
             ("b_flip", (self.bits, chunks, self.cols), SCHEME_BITFLIP),
         ):
-            flips = int_array(getattr(self, name), name, 0, 1, np.uint8)
+            flips = int_array(getattr(self, name), name, 0, 1, np.uint8).view()
             if flips.shape != shape:
                 raise ValueError(f"{name} has shape {flips.shape}, expected {shape}")
             if flips.any() and self.scheme != scheme:
                 raise ValueError(f"{name} may be set only in a {scheme} layout")
-            setattr(self, name, flips)
+            flips.flags.writeable = False
+            object.__setattr__(self, name, flips)
 
     @property
     def rows(self) -> int:

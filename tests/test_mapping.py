@@ -363,33 +363,16 @@ def test_bitflip_search_peak_memory():
     assert peak < 20 * 2**20
 
 
-@pytest.mark.parametrize("scheme", [SCHEME_CVM, SCHEME_SIGNFLIP, SCHEME_BITFLIP])
-def test_build_layout_peak_memory_per_weight(scheme):
-    # Mapping works on weight codes: no decoded, negated or clamped target
-    # array and no float64 error terms, so with a prebuilt table one call on
-    # 2**18 weights stays under 40 B per weight (it was 54 B with them).
-    table = build_cvm_lut(8, TWOS)
-    rng = np.random.default_rng(0)
-    layer = LayerWeights(rng.integers(0, 256, size=(512, 512)).astype(np.uint16), 8, TWOS)
-    mask = sample_saf_mask(rng, (512, 512, 8), 0.05)
-    build_layout(scheme, layer, mask, 64, lut=table)  # fills the cached tables
-    tracemalloc.start()
-    try:
-        build_layout(scheme, layer, mask, 64, lut=table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
-
-
 @pytest.mark.parametrize(
     "scheme, mib", [(SCHEME_CVM, 6), (SCHEME_SIGNFLIP, 7), (SCHEME_BITFLIP, 6)]
 )
 def test_build_layout_reads_the_mask_packed_pair(scheme, mib):
-    # The mask packs its pairs when it is built, so one call holds no
-    # (M, K, 8) packing buffer and no uint32 copy of both masks: with a
-    # prebuilt table it stays under 24 B per weight for cvm and bit-flip
-    # and 28 B for sign-flip (27 and 29 B when it packed them itself).
+    # Mapping works on weight codes: no decoded, negated or clamped target
+    # array and no float64 error terms (54 B per weight with them).  The mask
+    # packs its pairs when it is built, so one call holds no (M, K, 8)
+    # packing buffer and no uint32 copy of both masks: with a prebuilt table
+    # it stays under 24 B per weight for cvm and bit-flip and 28 B for
+    # sign-flip (27 and 29 B when it packed them itself).
     table = build_cvm_lut(8, TWOS)
     rng = np.random.default_rng(0)
     layer = LayerWeights(rng.integers(0, 256, size=(512, 512)).astype(np.uint16), 8, TWOS)
@@ -638,6 +621,21 @@ def test_layout_rejects_flips_of_another_scheme(scheme, name, position):
     else:
         with pytest.raises(ValueError, match=f"only in a {owner} layout"):
             MappedLayout(**args)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_layout_arrays_are_read_only_after_validation(scheme):
+    # A write after validation could show the simulator and effective_values
+    # a code out of range or a flag outside {0, 1}.  The layout holds views,
+    # so the caller's own uint16/uint8 arrays keep their flags.
+    args = valid_layout_args(scheme)
+    layout = MappedLayout(**args)
+    for name in ("stored", "col_flip", "b_flip"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(layout, name)[...] = 2
+        assert args[name].flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layout.stored = args["stored"]
 
 
 def test_layout_json_rejects_invalid_or_incomplete_files():
