@@ -68,7 +68,7 @@ def _refuse_overwrite(out: str, inputs: dict, twin: Path | None = None) -> None:
 
 def _load_weights(path: str, bits: int, mode: str) -> LayerWeights:
     rows, cols, values = numfmt.json_fields(
-        json.loads(Path(path).read_text()), "weights", rows=int, cols=int, values=list
+        numfmt.read_json(path, "weights"), "weights", rows=int, cols=int, values=list
     )
     values = numfmt.json_array(
         values, "weights", "values", (rows, cols), *numfmt.value_range(bits, mode)

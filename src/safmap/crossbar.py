@@ -36,7 +36,6 @@ sums over streams and chunks are int64.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,7 +103,7 @@ class ActivationVector:
 
     @classmethod
     def load(cls, path: str | Path) -> "ActivationVector":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.from_json_dict(numfmt.read_json(path, "activations"))
 
 
 def mvm_exact(weights: np.ndarray, activations: np.ndarray) -> np.ndarray:

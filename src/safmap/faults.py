@@ -19,13 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .numfmt import check_width, int_array, json_array, json_fields
+from .numfmt import check_width, int_array, json_array, json_fields, read_json
 
 SA0 = -1
 FAULT_FREE = 0
 SA1 = 1
 
-# Uniform numbers per draw of a mask sample.
+# Cells per pass when a mask is sampled, packed or saved, so that none of
+# these makes a full-size temporary.
 _DRAWS = 1 << 16
 
 # Base-3 fault digits, LSB-bit first (0 = fault-free): the key of both
@@ -59,29 +60,35 @@ class FaultInjectionSpec:
 @dataclass(frozen=True)
 class SafMask:
     """Ternary stuck-at states for an M x K matrix of n-bit weights, and
-    their packed pairs.  Both arrays are read-only (``cells`` is a view of
-    the array given, not a copy), so nothing written through the mask can
-    make them disagree."""
+    their packed pairs.  Both arrays are read-only, and ``cells`` copies the
+    array given only if that is writeable, so nothing written through the
+    mask or its caller's array can make them disagree."""
 
     cells: np.ndarray  # int8, shape (M, K, n), entries in {-1, 0, +1}
     # uint16, shape (M, K): sa1 << n | sa0, bit k of each half for slice k
     pair: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        cells = int_array(self.cells, "fault mask cells", SA0, SA1, np.int8).view()
+        cells = int_array(self.cells, "fault mask cells", SA0, SA1, np.int8)
         if cells.ndim != 3:
             raise ValueError("mask must have shape (rows, cols, bits)")
         check_width(cells.shape[2])
-        # Each state's (M, K, n) comparison goes into an (M, K, 8) buffer
-        # whose unused high bits stay 0, which ``packbits`` turns into one
-        # byte per weight.
+        if cells.flags.writeable and np.may_share_memory(cells, self.cells):
+            cells = cells.copy()
+        # Each state's (rows, K, n) comparison goes, about ``_DRAWS`` cells
+        # at a time, into a (rows, K, 8) buffer whose unused high bits stay
+        # 0, which ``packbits`` turns into one byte per weight.
         rows, cols, bits = cells.shape
-        buf = np.zeros((rows, cols, 8), dtype=bool)
         pair = np.zeros((rows, cols), dtype=np.uint16)
-        for state, shift in ((SA0, 0), (SA1, bits)):
-            np.equal(cells, state, out=buf[:, :, :bits])
-            half = np.packbits(buf.reshape(-1), bitorder="little").reshape(rows, cols)
-            pair |= half.astype(np.uint16) << shift
+        step = max(1, _DRAWS // max(1, 8 * cols))
+        buf = np.zeros((min(step, rows), cols, 8), dtype=bool)
+        for start in range(0, rows, step):
+            block, out = cells[start : start + step], pair[start : start + step]
+            part = buf[: len(block)]
+            for state, shift in ((SA0, 0), (SA1, bits)):
+                np.equal(block, state, out=part[:, :, :bits])
+                half = np.packbits(part.reshape(-1), bitorder="little")
+                out |= half.reshape(out.shape).astype(np.uint16) << shift
         cells.flags.writeable = pair.flags.writeable = False
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "pair", pair)
@@ -144,24 +151,12 @@ class SafMask:
 
     @classmethod
     def load(cls, path: str | Path) -> "SafMask":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.from_json_dict(read_json(path, "fault mask"))
 
 
 def mask_rng(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic generator for one injection stream (trial, layer, ...)."""
     return np.random.default_rng([int(seed) & (2**64 - 1), *map(int, stream)])
-
-
-def _draw_below(rng: np.random.Generator, shape: tuple, p: float) -> np.ndarray:
-    """``rng.random(shape) < p``, drawn ``_DRAWS`` numbers at a time from the
-    same stream in the same order, so no full-size float64 array is made
-    (16 MB for a 512x512 8-bit mask)."""
-    out = np.empty(shape, dtype=bool)
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, _DRAWS):
-        block = flat[start : start + _DRAWS]
-        np.less(rng.random(block.size), p, out=block)
-    return out
 
 
 def sample_saf_mask(
@@ -176,11 +171,19 @@ def sample_saf_mask(
     if not 0.0 <= sa1_fraction <= 1.0:
         raise InvalidRateError(f"sa1_fraction must be in [0, 1], got {sa1_fraction}")
     check_width(shape[2])
-    faulty = _draw_below(rng, shape, rate)
-    is_sa1 = _draw_below(rng, shape, sa1_fraction)
+    # Two passes over one stream, ``_DRAWS`` uniform numbers at a time:
+    # which cells are faulty, then which would be stuck at 1 (drawn for every
+    # cell, as one full-size draw would).  No full-size float or bool array
+    # is made (16 MB and 2 MB each at 512x512x8).
     cells = np.zeros(shape, dtype=np.int8)
-    cells[faulty & is_sa1] = SA1
-    cells[faulty & ~is_sa1] = SA0
+    flat = cells.reshape(-1)
+    for start in range(0, flat.size, _DRAWS):
+        block = flat[start : start + _DRAWS]
+        block[rng.random(block.size) < rate] = SA0
+    for start in range(0, flat.size, _DRAWS):
+        block = flat[start : start + _DRAWS]
+        block[(rng.random(block.size) < sa1_fraction) & (block == SA0)] = SA1
+    cells.flags.writeable = False  # so the mask need not copy it
     return SafMask(cells=cells)
 
 

@@ -200,10 +200,11 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
     results: list[ResultRow] = []
     for rate in spec.rates:
         masks = [trial_masks(spec, t, shapes, rate) for t in range(spec.trials)]
-        stacked_masks = [
-            SafMask(np.concatenate([ms[i].cells for ms in masks], axis=1))
-            for i in range(len(layers))
-        ]
+        stacked_masks = []
+        for i in range(len(layers)):
+            cells = np.concatenate([ms[i].cells for ms in masks], axis=1)
+            cells.flags.writeable = False  # so the mask need not copy it
+            stacked_masks.append(SafMask(cells))
         unmasked = sum(count_unmasked(lw.codes, m) for lw, m in zip(tiled, stacked_masks))
         for scheme in spec.schemes:
             start = time.perf_counter()

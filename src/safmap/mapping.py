@@ -52,6 +52,7 @@ from .numfmt import (
     int_array,
     json_array,
     json_fields,
+    read_json,
 )
 
 SCHEME_NAIVE = "naive"
@@ -61,9 +62,11 @@ SCHEME_BITFLIP = "bitflip"
 SCHEMES = (SCHEME_NAIVE, SCHEME_CVM, SCHEME_SIGNFLIP, SCHEME_BITFLIP)
 
 _ILLEGAL = np.uint8(0xFF)
-# Weights per pass of the enumeration engine; bounds its (block, 2**bits)
-# temporaries to a few tens of MB at 8 bits.
-_BLOCK = 1 << 16
+# Bytes of each (keys, 2**bits) candidate temporary of the enumeration
+# engine.  Freeing multi-MB temporaries raises glibc's mmap and trim
+# thresholds, after which how much freed heap a process keeps resident
+# hinges on where its chunks landed, so peak memory varies between runs.
+_CANDIDATE_BYTES = 1 << 18
 # Bytes of (chunk, column) scores per block of the subset-sum search, and
 # subset terms per batch within a block; both bound its temporaries to a
 # few MB.
@@ -158,10 +161,20 @@ def _cvm_tables(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
     err = np.abs(dec[None, :] - dec[:, None]).astype(np.uint8)
     cand = np.arange(1 << bits, dtype=np.uint16)
     sa0, sa1 = packed_from_fault_digits(np.arange(3**bits), bits)
-    legal = force_write_array(cand, sa0[:, None], sa1[:, None]) == cand
-    penalty = np.where(legal, np.uint8(0), _ILLEGAL)
+    penalty = np.empty((3**bits, 1 << bits), dtype=np.uint8)
+    step = _candidate_rows(bits)
+    for start in range(0, 3**bits, step):
+        rows = slice(start, start + step)
+        written = force_write_array(cand, sa0[rows, None], sa1[rows, None])
+        np.multiply(written != cand, _ILLEGAL, out=penalty[rows])
     err.flags.writeable = penalty.flags.writeable = False  # shared by every caller
     return err, penalty
+
+
+def _candidate_rows(bits: int) -> int:
+    """Rows per pass over a (rows, 2**bits) candidate table, so that each
+    pass's temporaries stay near ``_CANDIDATE_BYTES``."""
+    return max(1, _CANDIDATE_BYTES >> bits)
 
 
 @functools.cache
@@ -194,16 +207,18 @@ def closest_codes(keys: np.ndarray, bits: int, mode: str) -> np.ndarray:
     keys = np.asarray(keys)
     flat = keys.ravel()
     out = np.empty(flat.size, dtype=np.uint16)
-    for start in range(0, flat.size, _BLOCK):
-        code, digits = np.divmod(flat[start : start + _BLOCK], 3**bits)
-        masked = err_tab[code] | pen_tab[digits]
+    step = _candidate_rows(bits)
+    for start in range(0, flat.size, step):
+        code, digits = np.divmod(flat[start : start + step], 3**bits)
+        masked = err_tab[code]
+        masked |= pen_tab[digits]
         idx = masked.argmin(axis=1)
         # 0xFF marks illegal candidates but is also a real distance at n=8.
         # A row whose minimum is 0xFF has no legal candidate nearer than 255,
         # so every bit is stuck and its one legal code is the stuck-at-1 one.
         corner = masked[np.arange(idx.size), idx] == _ILLEGAL
         idx[corner] = packed_from_fault_digits(digits[corner], bits)[1]
-        out[start : start + _BLOCK] = idx
+        out[start : start + step] = idx
     return out.reshape(keys.shape)
 
 
@@ -225,8 +240,9 @@ def cvm_codes(
 @dataclass(frozen=True)
 class MappedLayout:
     """Stored codes for one layer plus the per-chunk correction masks, held
-    as read-only views (not copies), so no write through the layout can put
-    a code or flag out of range after validation."""
+    read-only and copied only from a writeable array given, so no write
+    through the layout or its caller's arrays can put a code or flag out of
+    range after validation."""
 
     scheme: str
     bits: int
@@ -242,9 +258,11 @@ class MappedLayout:
         numfmt.check_width(self.bits)
         numfmt.check_mode(self.mode)
         hi = (1 << self.bits) - 1
-        stored = int_array(self.stored, "stored", 0, hi, np.uint16).view()
+        stored = int_array(self.stored, "stored", 0, hi, np.uint16)
         if stored.ndim != 2:
             raise ValueError("stored codes must be an M x K matrix")
+        if stored.flags.writeable and np.may_share_memory(stored, self.stored):
+            stored = stored.copy()
         stored.flags.writeable = False
         object.__setattr__(self, "stored", stored)
         chunks = self.geometry.num_chunks
@@ -252,11 +270,14 @@ class MappedLayout:
             ("col_flip", (chunks, self.cols), SCHEME_SIGNFLIP),
             ("b_flip", (self.bits, chunks, self.cols), SCHEME_BITFLIP),
         ):
-            flips = int_array(getattr(self, name), name, 0, 1, np.uint8).view()
+            given = getattr(self, name)
+            flips = int_array(given, name, 0, 1, np.uint8)
             if flips.shape != shape:
                 raise ValueError(f"{name} has shape {flips.shape}, expected {shape}")
             if flips.any() and self.scheme != scheme:
                 raise ValueError(f"{name} may be set only in a {scheme} layout")
+            if flips.flags.writeable and np.may_share_memory(flips, given):
+                flips = flips.copy()
             flips.flags.writeable = False
             object.__setattr__(self, name, flips)
 
@@ -338,7 +359,7 @@ class MappedLayout:
 
     @classmethod
     def load(cls, path: str | Path) -> "MappedLayout":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.from_json_dict(read_json(path, "layout"))
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +580,16 @@ def build_layout(
         raise UnsignedLayerError("sign-flip requires two's-complement weights")
     bits = layer.bits
     geom = ChunkGeometry(layer.rows, row_len)
-    word = np.zeros((geom.num_chunks, layer.cols), dtype=np.uint16)
+    # The arrays the layout keeps are allocated before any temporary.
+    # Allocated after them, they can land near the top of the heap, where
+    # they keep several MB freed below them resident once the caller also
+    # frees its mask: in one process and not the next, so peak memory
+    # varies from run to run.
+    stored = np.empty((layer.rows, layer.cols), dtype=np.uint16)
+    col_flip = np.zeros((geom.num_chunks, layer.cols), dtype=np.uint8)
+    b_flip = np.zeros((bits, geom.num_chunks, layer.cols), dtype=np.uint8)
     if scheme == SCHEME_NAIVE:
-        stored = force_write_array(layer.codes, *mask.packed())
+        np.copyto(stored, force_write_array(layer.codes, *mask.packed()))
     else:
         from .lut import OnDemandLut  # lut imports this module
 
@@ -571,23 +599,29 @@ def build_layout(
                 f"LUT built for ({table.bits}-bit, {table.mode}) cannot map a "
                 f"({bits}-bit, {layer.mode}) layer"
             )
+        word = np.zeros((geom.num_chunks, layer.cols), dtype=np.uint16)
         if scheme != SCHEME_CVM:
             signs, flip_bits = ((0, 1), 0) if scheme == SCHEME_SIGNFLIP else ((0,), bits)
             search = _best_words if lut is None else _subset_words
             word = search(signs, flip_bits, mask.pair, geom, layer, table.lookup)
+            k = np.arange(bits, dtype=np.uint16)
+            np.copyto(col_flip, word >> bits, casting="unsafe")
+            np.copyto(b_flip, (word[None, :, :] >> k[:, None, None]) & 1, casting="unsafe")
         row_word = geom.per_row(word)
         j = row_word & ((1 << bits) - 1)
         target = _signed_codes(bits, layer.mode)[0][row_word >> bits, layer.codes]
-        stored = table.map_codes(target, flip_pairs(mask.pair, j, bits)) ^ j
-    k = np.arange(bits, dtype=np.uint16)
+        mapped = table.map_codes(target, flip_pairs(mask.pair, j, bits))
+        np.bitwise_xor(mapped, j, out=stored)
+    for array in (stored, col_flip, b_flip):
+        array.flags.writeable = False  # so the layout need not copy it
     return MappedLayout(
         scheme=scheme,
         bits=bits,
         mode=layer.mode,
         row_len=row_len,
         stored=stored,
-        col_flip=(word >> bits).astype(np.uint8),
-        b_flip=((word[None, :, :] >> k[:, None, None]) & 1).astype(np.uint8),
+        col_flip=col_flip,
+        b_flip=b_flip,
     )
 
 

@@ -1,10 +1,15 @@
-"""Fixed-precision integer codes, their decoding tables, typed JSON fields,
-and the one reader each for JSON number arrays and in-memory integer arrays.
+"""Fixed-precision integer codes, their decoding tables, the one JSON file
+reader, typed JSON fields, and the one reader each for JSON number arrays
+and in-memory integer arrays.
 
 A stored code is a raw unsigned n-bit pattern (``0 <= bits < 2**width``);
 whether it denotes an unsigned or a two's-complement value is a decode-time
 mode, never a storage property.  Bit index 0 is the LSB everywhere in this
 package (flip masks, table keys, per-slice masks).
+
+Every JSON file is read by :func:`read_json`, which returns what
+``json.loads`` returns, except that each flat array of integers in a form
+``json.dumps`` writes is parsed by numpy into an integer array.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+from json.decoder import WHITESPACE, scanstring
+from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +27,8 @@ MODE_TWOS_COMPLEMENT = "twos_complement"
 MODES = (MODE_UNSIGNED, MODE_TWOS_COMPLEMENT)
 
 MAX_BITS = 8  # larger widths are rejected at configuration load
-# Elements per numpy conversion of a JSON array; bounds the int64 temporaries.
+# Elements per numpy conversion of a JSON array, and characters per numpy
+# parse of one; bounds the int64 temporaries of both.
 _JSON_BLOCK = 1 << 16
 # Longest value an error message quotes in full; longer ones are cut.
 _QUOTE_LIMIT = 40
@@ -49,6 +57,125 @@ def value_range(width: int, mode: str) -> tuple[int, int]:
     return -(1 << (width - 1)), (1 << (width - 1)) - 1
 
 
+# json's own scanner, which reads every value the numpy path below does not.
+_SCAN = json.JSONDecoder().scan_once
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON file at ``path`` as ``json.loads`` reads it, except that
+    each non-empty flat array of integers in the form ``json.dumps`` writes
+    (``,`` or ``, `` between elements, each ``-?(0|[1-9][0-9]*)`` with at
+    most 18 digits) is parsed by numpy into an integer array.
+
+    Objects, and arrays of objects, are walked here; every other value
+    goes to json's scanner at the same position.  A file that is not ASCII,
+    or that json rejects, is read again by ``json.loads`` alone, so every
+    error is json's own, except that nesting too deep for json is a
+    ValueError naming the file kind ``what``.
+    """
+    text = Path(path).read_text()
+    try:
+        if text.isascii():
+            try:
+                value, end = _value(text, WHITESPACE.match(text).end())
+                if WHITESPACE.match(text, end).end() == len(text):
+                    return value
+            except (ValueError, StopIteration, RecursionError):
+                pass
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} file nests arrays or objects too deeply") from None
+
+
+def _value(s: str, i: int):
+    """(value, end) of the JSON value at ``s[i]``; a ValueError or
+    StopIteration if the text is not valid JSON there."""
+    space = WHITESPACE.match
+    if s.startswith("{", i):
+        obj = {}
+        i = space(s, i + 1).end()
+        if s.startswith("}", i):
+            return obj, i + 1
+        while s.startswith('"', i):
+            key, i = scanstring(s, i + 1)
+            i = space(s, i).end()
+            if not s.startswith(":", i):
+                break
+            obj[key], i = _value(s, space(s, i + 1).end())
+            i = space(s, i).end()
+            if s.startswith("}", i):
+                return obj, i + 1
+            if not s.startswith(",", i):
+                break
+            i = space(s, i + 1).end()
+        raise ValueError("malformed JSON object")
+    if s.startswith("[", i):
+        j = space(s, i + 1).end()
+        if s.startswith("{", j):
+            items = []
+            while True:
+                item, j = _value(s, j)
+                items.append(item)
+                j = space(s, j).end()
+                if s.startswith("]", j):
+                    return items, j + 1
+                if not s.startswith(",", j):
+                    raise ValueError("malformed JSON array")
+                j = space(s, j + 1).end()
+        found = _int_array(s, i + 1)
+        if found is not None:
+            return found
+    return _SCAN(s, i)
+
+
+def _int_array(s: str, i: int):
+    """(integer array, end) of the array whose first element is at ``s[i]``,
+    or None unless it is a non-empty flat array of integers in the form
+    :func:`read_json` parses.  It is parsed ``_JSON_BLOCK`` characters at
+    a time, each block cut at its last comma.  An element in that form
+    takes at most 20 characters, so a block of 21 or more that holds no
+    comma is not in that form."""
+    end = s.find("]", i)
+    blocks = []
+    while end > i:
+        cut = s.rfind(",", i, i + _JSON_BLOCK) if i + _JSON_BLOCK < end else end
+        if cut <= i:
+            return None
+        block = _int_block(np.frombuffer(f",{s[i:cut]},".encode(), np.uint8))
+        if block is None:
+            return None
+        blocks.append(block)
+        if cut == end:
+            return np.concatenate(blocks), end + 1
+        i = cut + 1
+    return None
+
+
+def _int_block(b: np.ndarray):
+    """The integers between consecutive commas of the ASCII bytes ``b``
+    (which start and end with a comma), in an integer type that holds
+    every integer of their largest digit count; or None unless each is
+    ``( ?)-?(0|[1-9][0-9]*)`` with at most 18 digits."""
+    digit = b - ord("0")  # bytes other than digits wrap above 9
+    comma = np.flatnonzero(b == ord(","))
+    first, last = comma[:-1] + 1, comma[1:] - 1
+    first += b[first] == ord(" ")
+    minus = b[first] == ord("-")
+    first += minus
+    count = last - first + 1  # digits, once every other byte is one
+    # Commas, one space and one sign per element: the rest must be digits.
+    if count.min() < 1 or count.sum() != np.count_nonzero(digit < 10):
+        return None
+    top = count.max()
+    if top > 18 or ((digit[first] == 0) & (count > 1)).any():
+        return None
+    kind = np.min_scalar_type(-(10**top))
+    value = digit[last].astype(kind)
+    for k in range(1, top):  # bytes left of an element's first digit are masked
+        value += np.where(count > k, digit[last - k], 0).astype(kind) * 10**k
+    return np.where(minus, -value, value)
+
+
 _JSON_TYPE_NAMES = {
     bool: "true or false",
     int: "an integer",
@@ -57,6 +184,7 @@ _JSON_TYPE_NAMES = {
     list: "an array",
     dict: "an object",
     type(None): "null",
+    np.ndarray: "an array",
 }
 
 
@@ -70,6 +198,8 @@ def json_fields(obj, what: str, **types: type) -> tuple:
         if key not in obj:
             raise ValueError(f"{what} is missing key {key!r}")
         value = obj[key]
+        if kind is list and isinstance(value, np.ndarray):  # from read_json
+            continue
         if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
             raise ValueError(
                 f"{what} key {key!r} must be {_JSON_TYPE_NAMES[kind]}, "
@@ -79,11 +209,13 @@ def json_fields(obj, what: str, **types: type) -> tuple:
 
 
 def _out_of_range(name: str, flat, lo, hi, offset: int = 0) -> OutOfRangeError:
-    """The error for the first element of ``flat`` outside [lo, hi] (NaN
-    included), found by a scan that runs only once a range check failed.
-    A value too long to quote is cut to its start and its length."""
+    """The error for the first element of ``flat`` (a list or an array)
+    outside [lo, hi] (NaN included), found by a scan that runs only once a
+    range check failed.  A value too long to quote is cut to its start and
+    its length."""
     i = next(i for i, v in enumerate(flat) if not lo <= v <= hi)
-    text = json.dumps(flat[i])
+    value = flat[i]
+    text = json.dumps(value.item() if isinstance(value, np.generic) else value)
     if len(text) > _QUOTE_LIMIT:
         text = f"{text[:_QUOTE_LIMIT // 2]}... ({len(text)} characters)"
     if lo == -hi == -sys.float_info.max:
@@ -115,15 +247,18 @@ def int_array(values, what: str, lo: int, hi: int, dtype) -> np.ndarray:
 
 
 def json_array(
-    values: list, what: str, key: str, shape: tuple, lo, hi, dtype=np.int64
+    values, what: str, key: str, shape: tuple, lo, hi, dtype=np.int64
 ) -> np.ndarray:
-    """A flat JSON array of numbers in [lo, hi] as a ``dtype`` array of ``shape``.
+    """A flat JSON array of numbers in [lo, hi] as a read-only ``dtype``
+    array of ``shape``.
 
     Elements must be JSON integers, or integers and floats for a float
     ``dtype`` (whose range -/+``sys.float_info.max`` rejects NaN and
-    Infinity); never ``true``/``false``.  A wrong length or element is a
-    ValueError naming the file kind, key and element index.  The list is
-    converted in blocks, checked before narrowing, so no full int64 copy.
+    Infinity); never ``true``/``false``.  An integer array from
+    :func:`read_json` skips only the element type scan.  A wrong length or
+    element is a ValueError naming the file kind, key and element index.
+    The values are converted in blocks, checked before narrowing, so no
+    full int64 copy.
     """
     name = f"{what} key {key!r}"
     if min(shape, default=0) < 0:
@@ -138,19 +273,23 @@ def json_array(
     out = np.empty(size, dtype=dtype)
     for start in range(0, size, _JSON_BLOCK):
         block = values[start : start + _JSON_BLOCK]
-        if not set(map(type, block)) <= allowed:
+        if isinstance(block, np.ndarray):  # integers parsed by read_json
+            array = block
+        elif not set(map(type, block)) <= allowed:
             i = next(i for i, v in enumerate(block) if type(v) not in allowed)
             raise ValueError(
                 f"{name} must be a flat array of {'numbers' if floats else 'integers'}"
                 f": element {start + i} is {json.dumps(block[i])}"
             )
-        try:
-            array = np.fromiter(block, dtype=wide, count=len(block))
-        except OverflowError:  # beyond int64 or float64, so outside [lo, hi]
-            raise _out_of_range(name, block, lo, hi, start) from None
+        else:
+            try:
+                array = np.fromiter(block, dtype=wide, count=len(block))
+            except OverflowError:  # beyond int64 or float64, so outside [lo, hi]
+                raise _out_of_range(name, block, lo, hi, start) from None
         if not (lo <= array.min() and array.max() <= hi):  # False for NaN
             raise _out_of_range(name, block, lo, hi, start)
         out[start : start + len(block)] = array
+    out.flags.writeable = False
     return out.reshape(shape)
 
 

@@ -17,7 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, json_array, json_fields
+from .numfmt import (
+    MODE_TWOS_COMPLEMENT,
+    MODE_UNSIGNED,
+    json_array,
+    json_fields,
+    read_json,
+)
 from .quant import QuantizedTensor, quantize
 
 # The blob task and the MLP's training schedule.
@@ -124,7 +130,7 @@ class ToyModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "ToyModel":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.from_json_dict(read_json(path, "model"))
 
 
 def make_blob_dataset(

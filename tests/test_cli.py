@@ -405,6 +405,7 @@ BAD_FILES = [
     ("activations", "m", MISSING),
     ("model", "classes", MISSING),
     ("mask", "bits", "4"),
+    ("mask", "bits", [4]),
     ("weights", "rows", 2.0),
     ("layout", "bits", "4"),
     ("activations", "m", True),
@@ -551,3 +552,29 @@ def test_bad_array_element_is_one_line_naming_it(valid_files, kind, position, ba
     assert err.count("\n") == 1 and repr(key) in err
     assert re.search(rf"\belement {position}\b", err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["mask", "layout"])
+def test_deeply_nested_file_is_one_line_naming_its_kind(valid_files, capsys, kind):
+    """json's scanner raises RecursionError on nesting this deep; the
+    reader turns it into a one-line error, not a traceback."""
+    paths, files = valid_files
+    key, deep, what = {
+        "mask": ("data", "[" * 100_000 + "]" * 100_000, "fault mask"),
+        "layout": ("extra", '{"a": ' * 100_000 + "1" + "}" * 100_000, "layout"),
+    }[kind]
+    bad_path = paths[kind].with_name(f"deep-{kind}.json")
+    bad_path.write_text(json.dumps(files[kind])[:-1] + f', "{key}": {deep}}}')
+    out = bad_path.with_name("out.json")
+    if kind == "mask":
+        argv = ["map", "--scheme", "cvm", "--weights", str(paths["weights"]),
+                "--mask", str(bad_path), "--bits", "4", "--row-len", "2",
+                "--out", str(out)]
+    else:
+        argv = ["mvm", "--layout", str(bad_path),
+                "--activations", str(paths["activations"]), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {what} file nests arrays or objects too deeply\n"
+    assert not out.exists()

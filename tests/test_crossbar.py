@@ -405,3 +405,22 @@ def test_activations_reject_values_they_would_truncate():
     assert mvm_simulate_batch(layout, np.array([[1, 2]]), cfg).tolist() == [[3]]
     with pytest.raises(ValueError):
         mvm_simulate_batch(layout, np.array([[1.5, 2.0]]), cfg)
+
+
+def test_caller_writes_after_validation_reach_neither_reader():
+    # A bit-flip layout built from the caller's writeable uint8 b_flip: a 2
+    # written into that array afterwards once made the simulator read plane
+    # 1 ^ 2 = 3 and return 5 for stored code 3 and activation 1, while
+    # effective_values() read 3 ^ 2 = 1.  The layout copies writeable
+    # arrays, so both still read what it validated.
+    stored = np.array([[3]], dtype=np.uint16)
+    col_flip, b_flip = np.zeros((1, 1), np.uint8), np.zeros((2, 1, 1), np.uint8)
+    layout = MappedLayout(SCHEME_BITFLIP, 2, UNSIGNED, 1, stored, col_flip, b_flip)
+    cfg = CrossbarConfig(row_len=1, weight_bits=2, activation_bits=1,
+                         weight_mode=UNSIGNED, activation_mode=UNSIGNED)
+    b_flip[0, 0, 0] = 2
+    assert mvm_simulate_batch(layout, np.array([[1]]), cfg).tolist() == [[3]]
+    assert layout.effective_values().tolist() == [[3]]
+    stored[0, 0] = 0
+    col_flip[0, 0] = 1
+    assert layout.stored.tolist() == [[3]] and not layout.col_flip.any()

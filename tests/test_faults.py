@@ -152,6 +152,19 @@ def test_sample_drawn_in_blocks_equals_drawing_all_at_once():
     assert drawn.random() == reference.random()  # the stream is left where it was
 
 
+def test_sample_peak_memory():
+    # Drawn and packed blockwise, a 512x512x8 mask holds its cells (2 MiB),
+    # its pairs (0.5 MiB) and one block of draws; with full-size boolean
+    # masks and packing buffers it peaked at 9.8 MiB.
+    tracemalloc.start()
+    try:
+        sample_saf_mask(mask_rng(1, 0), (512, 512, 8), 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_empirical_rate_one_shape():
     # 64x64x8 at 5%: expect the per-mask fraction within +-0.01 over seeds
     total = faulty = 0
@@ -201,6 +214,7 @@ def packed_per_bit(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def test_packed_matches_per_bit_packing(bits):
     rng = np.random.default_rng(bits)
     wide = rng.choice([SA0, FF, SA1], size=(9, 14, bits + 3)).astype(np.int8)
+    wide.flags.writeable = False  # so a mask keeps a view of it, not a copy
     cases = [
         wide[:, :7, :bits].copy(),
         np.zeros((9, 7, bits), dtype=np.int8),  # fault-free
@@ -209,6 +223,8 @@ def test_packed_matches_per_bit_packing(bits):
         rng.choice([SA0, SA1], size=(9, 7, bits)).astype(np.int8),
         wide[::-2, 1::2, 2 : bits + 2],  # a non-contiguous view
         np.zeros((0, 7, bits), dtype=np.int8),
+        # Rows of 300 weights are packed 27 at a time: a full pass and a part.
+        rng.choice([SA0, FF, SA1], size=(37, 300, bits)).astype(np.int8),
     ]
     assert not SafMask(cases[5]).cells.flags.c_contiguous
     for cells in cases:
@@ -230,6 +246,18 @@ def test_mask_arrays_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         mask.pair[0, 0] = 1
     assert not mask.pair.any()
+
+
+def test_mask_copies_a_writeable_array_and_keeps_a_read_only_one():
+    # A write through the caller's array once changed mask.cells but not
+    # mask.pair, so the two disagreed.
+    cells = np.zeros((2, 3, 4), dtype=np.int8)
+    mask = SafMask(cells)
+    cells[0, 0, 0] = SA1
+    assert not mask.cells.any() and not mask.pair.any()
+    assert cells.flags.writeable
+    cells.flags.writeable = False
+    assert SafMask(cells).cells is cells  # kept, not copied
 
 
 def test_json_round_trip(tmp_path):
@@ -278,6 +306,23 @@ def test_save_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_load_peak_memory(tmp_path):
+    # File text, int8 blocks, cells and pairs: about 12 MiB here.  Reading
+    # the data through one json.loads list of 2**21 Python ints peaked at
+    # 22.4 MiB, and parsing into int64 blocks at about 38 MiB.
+    mask = gen_saf_mask(FaultInjectionSpec(rate=0.05, seed=1), (512, 512, 8))
+    path = tmp_path / "mask.json"
+    mask.save(path)
+    tracemalloc.start()
+    try:
+        loaded = SafMask.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.cells, mask.cells)
     assert peak < 16 * 2**20
 
 

@@ -172,6 +172,20 @@ def test_n8_build_peak_memory_from_cold_cache(mode):
     assert peak < 32 * 2**20
 
 
+def test_n8_build_holds_no_large_temporary():
+    # Keys pass through the candidate table 256 KiB at a time, so a build
+    # peaks about 0.6 MiB above its 1.6 MiB of entries; passes of all 3**8
+    # keys of a target code held three 1.6 MiB temporaries (3.4 MiB above).
+    build_cvm_lut(8, TWOS)  # warms the cached tables
+    tracemalloc.start()
+    try:
+        table = build_cvm_lut(8, TWOS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - table.entries.nbytes < 2**20
+
+
 @pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
 @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
 def test_on_demand_table_matches_full_table_on_every_key(bits, mode):

@@ -626,8 +626,9 @@ def test_layout_rejects_flips_of_another_scheme(scheme, name, position):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_layout_arrays_are_read_only_after_validation(scheme):
     # A write after validation could show the simulator and effective_values
-    # a code out of range or a flag outside {0, 1}.  The layout holds views,
-    # so the caller's own uint16/uint8 arrays keep their flags.
+    # a code out of range or a flag outside {0, 1}.  The layout copies
+    # writeable arrays, so the caller's own uint16/uint8 arrays keep their
+    # flags.
     args = valid_layout_args(scheme)
     layout = MappedLayout(**args)
     for name in ("stored", "col_flip", "b_flip"):
