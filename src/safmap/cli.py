@@ -10,7 +10,6 @@ and tool version under a ``config`` key.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -155,7 +154,7 @@ def cmd_mvm(args) -> int:
         activation_mode=activations.mode,
     )
     outputs = mvm_simulate(layout, activations, cfg)
-    Path(args.out).write_text(json.dumps([int(v) for v in outputs]))
+    numfmt.write_json(args.out, outputs)
     print(f"wrote {outputs.size} outputs to {args.out}")
     return 0
 

@@ -13,20 +13,20 @@ evaluation harness), so masks are reproducible for a fixed numpy build.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import numfmt
 from .numfmt import check_width, int_array, json_array, json_fields, read_json
 
 SA0 = -1
 FAULT_FREE = 0
 SA1 = 1
 
-# Cells per pass when a mask is sampled, packed or saved, so that none of
-# these makes a full-size temporary.
+# Cells per pass when a mask is sampled or packed, so that neither makes a
+# full-size temporary.
 _DRAWS = 1 << 16
 
 # Base-3 fault digits, LSB-bit first (0 = fault-free): the key of both
@@ -113,13 +113,11 @@ class SafMask:
     def num_faulty(self) -> int:
         return int((self.cells != FAULT_FREE).sum())
 
+    def _json_obj(self) -> dict:
+        return {"rows": self.rows, "cols": self.cols, "bits": self.bits, "data": self.cells}
+
     def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "bits": self.bits,
-            "data": self.cells.ravel(order="C").tolist(),
-        }
+        return numfmt.json_lists(self._json_obj())
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SafMask":
@@ -130,24 +128,7 @@ class SafMask:
         return cls(cells=cells)
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:
-        """Write ``to_json_dict()`` updated with ``extra``: the bytes of one
-        ``json.dumps``, with the cells encoded ``_DRAWS`` at a time instead
-        of as one list of Python ints (16.8 MB of pointers at 512x512x8)."""
-        obj = {"rows": self.rows, "cols": self.cols, "bits": self.bits, "data": None}
-        obj.update(extra or {})
-        if extra and "data" in extra:  # the cells are replaced, not written
-            Path(path).write_text(json.dumps(obj))
-            return
-        keys = list(obj)  # rows, cols, bits, data, then the keys extra adds
-        head = json.dumps({key: obj[key] for key in keys[:3]})
-        tail = json.dumps({key: obj[key] for key in keys[4:]})
-        flat = self.cells.reshape(-1)
-        parts = [head[:-1].encode() + b', "data": [']
-        for start in range(0, flat.size, _DRAWS):
-            text = json.dumps(flat[start : start + _DRAWS].tolist())[1:-1]
-            parts.append(((", " if start else "") + text).encode())
-        parts.append(("]}" if tail == "{}" else "], " + tail[1:]).encode())
-        Path(path).write_bytes(b"".join(parts))
+        numfmt.write_json(path, {**self._json_obj(), **(extra or {})})
 
     @classmethod
     def load(cls, path: str | Path) -> "SafMask":

@@ -60,6 +60,11 @@ class CvmLut:
             raise LutFormatError(
                 f"expected {6 ** self.bits} entries, got {self.entries.shape}"
             )
+        if self.entries.max() >> self.bits:  # the max makes no temporary
+            key = np.flatnonzero(self.entries >> self.bits)[0]
+            raise LutFormatError(
+                f"entry of key {key} is {self.entries[key]}, not a {self.bits}-bit code"
+            )
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Entries of table keys, equivalent of
@@ -140,12 +145,11 @@ def read_lut(path: str | Path) -> CvmLut:
         raise LutFormatError(f"{path}: unknown mode byte {raw[5]}")
     bits = raw[6]
     check_width(bits)
-    body = np.frombuffer(raw[7:], dtype=np.uint8)
-    if body.size != 6**bits:
-        raise LutFormatError(
-            f"{path}: expected {6 ** bits} entries, found {body.size}"
-        )
-    return CvmLut(bits=bits, mode=_BYTE_MODES[raw[5]], entries=body.copy())
+    body = np.frombuffer(raw[7:], dtype=np.uint8).copy()
+    try:
+        return CvmLut(bits=bits, mode=_BYTE_MODES[raw[5]], entries=body)
+    except LutFormatError as exc:
+        raise LutFormatError(f"{path}: {exc}") from None
 
 
 def load_or_build(

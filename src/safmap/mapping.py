@@ -29,7 +29,6 @@ flipping cannot help).
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -313,7 +312,7 @@ class MappedLayout:
         word = (self.col_flip.astype(np.uint16) << self.bits) | self.flip_masks()
         return np.concatenate([dec, -dec])[self.geometry.per_row(word) ^ self.stored]
 
-    def to_json_dict(self) -> dict:
+    def _json_obj(self) -> dict:
         return {
             "scheme": self.scheme,
             "bits": self.bits,
@@ -321,10 +320,13 @@ class MappedLayout:
             "row_len": self.row_len,
             "rows": self.rows,
             "cols": self.cols,
-            "stored": self.stored.ravel(order="C").tolist(),
-            "col_flip": self.col_flip.ravel(order="C").tolist(),
-            "b_flip": self.b_flip.ravel(order="C").tolist(),
+            "stored": self.stored,
+            "col_flip": self.col_flip,
+            "b_flip": self.b_flip,
         }
+
+    def to_json_dict(self) -> dict:
+        return numfmt.json_lists(self._json_obj())
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MappedLayout":
@@ -352,10 +354,7 @@ class MappedLayout:
         )
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:
-        obj = self.to_json_dict()
-        if extra:
-            obj.update(extra)
-        Path(path).write_text(json.dumps(obj))
+        numfmt.write_json(path, {**self._json_obj(), **(extra or {})})
 
     @classmethod
     def load(cls, path: str | Path) -> "MappedLayout":

@@ -9,7 +9,6 @@ after the first layer can stream as unsigned activations.
 
 from __future__ import annotations
 
-import json
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -22,7 +21,9 @@ from .numfmt import (
     MODE_UNSIGNED,
     json_array,
     json_fields,
+    json_lists,
     read_json,
+    write_json,
 )
 from .quant import QuantizedTensor, quantize
 
@@ -67,14 +68,14 @@ class ToyModel:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x).argmax(axis=1)
 
-    def to_json_dict(self) -> dict:
+    def _json_obj(self) -> dict:
         return {
             "layers": [
                 {
                     "rows": layer.weights.shape[0],
                     "cols": layer.weights.shape[1],
-                    "weights": layer.weights.ravel(order="C").tolist(),
-                    "bias": layer.bias.tolist(),
+                    "weights": layer.weights,
+                    "bias": layer.bias,
                     "relu": layer.relu,
                 }
                 for layer in self.layers
@@ -82,6 +83,9 @@ class ToyModel:
             "input_dim": self.input_dim,
             "classes": self.classes,
         }
+
+    def to_json_dict(self) -> dict:
+        return json_lists(self._json_obj())
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ToyModel":
@@ -123,10 +127,7 @@ class ToyModel:
         return cls(layers=layers, input_dim=input_dim, classes=classes)
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:
-        obj = self.to_json_dict()
-        if extra:
-            obj.update(extra)
-        Path(path).write_text(json.dumps(obj))
+        write_json(path, {**self._json_obj(), **(extra or {})})
 
     @classmethod
     def load(cls, path: str | Path) -> "ToyModel":

@@ -380,6 +380,30 @@ def test_map_refuses_lut_cache_of_another_width(tmp_path, capsys):
     assert not (tmp_path / "o.json").exists()
 
 
+@pytest.mark.parametrize("scheme", ["bitflip", "cvm"])
+def test_map_rejects_a_table_entry_that_is_not_a_code(tmp_path, capsys, scheme):
+    # Entries are codes of the table's width.  A byte of 0xFF would index
+    # past the word search's error table, or be stored as a code by cvm.
+    table = tmp_path / "n2.lut"
+    assert main(["lut", "build", "--bits", "2", "--out", str(table)]) == 0
+    raw = bytearray(table.read_bytes())
+    raw[7 + 5] = raw[7 + 20] = 0xFF  # the entries of keys 5 and 20
+    table.write_bytes(bytes(raw))
+    weights = tmp_path / "w.json"
+    write_weights(weights, np.random.default_rng(0).integers(-2, 2, size=(8, 4)))
+    mask_path = tmp_path / "m.json"
+    assert main(["inject", "--rows", "8", "--cols", "4", "--bits", "2",
+                 "--rate", "0.3", "--out", str(mask_path)]) == 0
+    capsys.readouterr()
+    code = main(["map", "--scheme", scheme, "--weights", str(weights),
+                 "--mask", str(mask_path), "--bits", "2", "--lut", str(table),
+                 "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {table}: entry of key 5 is 255, not a 2-bit code\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 MISSING = object()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -541,6 +542,23 @@ def test_layout_json_round_trip(tmp_path):
     assert np.array_equal(loaded.stored, layout.stored)
     assert np.array_equal(loaded.b_flip, layout.b_flip)
     assert np.array_equal(loaded.col_flip, layout.col_flip)
+
+
+def test_layout_save_peak_memory():
+    # The file's 1.3 MB of bytes and one block's json.dumps: about 4.9 MiB.
+    # Three tolist() lists and one json.dumps of them peaked at 6.6 MiB.
+    rng = np.random.default_rng(9)
+    args = valid_layout_args(SCHEME_BITFLIP, bits=8, rows=512, cols=512, row_len=64)
+    args["stored"] = rng.integers(0, 256, size=(512, 512)).astype(np.uint16)
+    args["b_flip"] = rng.integers(0, 2, size=args["b_flip"].shape).astype(np.uint8)
+    layout = MappedLayout(**args)
+    tracemalloc.start()
+    try:
+        layout.save(os.devnull, extra={"config": {"tool": "test"}})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20
 
 
 def valid_layout_args(scheme, bits=3, rows=5, cols=2, row_len=2):

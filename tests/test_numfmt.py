@@ -254,6 +254,47 @@ def test_read_json_reads_top_level_and_scalar_documents(tmp_path):
     assert numfmt.read_json(path, "doc") == [2**63 - 1, 0]
 
 
+def _write_cases():
+    rng = np.random.default_rng(11)
+    mask = {"rows": 3, "cols": 4, "bits": 2, "data": rng.integers(-1, 2, (3, 4, 2), np.int8)}
+    floats = rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-300, 300, size=(4, 3))
+    floats[0, :2] = [-0.0, 0.1]
+    yield "int8", rng.integers(-128, 128, size=(5, 7), dtype=np.int8)
+    yield "uint8", rng.integers(0, 256, size=(2, 3, 4), dtype=np.uint8)
+    yield "uint16", rng.integers(0, 2**16, size=300, dtype=np.uint16)
+    yield "int64", np.array([0, -1, 2**63 - 1, -(2**63), 10**17])
+    yield "float64", floats
+    yield "bool", rng.integers(0, 2, size=(3, 3)).astype(bool)
+    yield "not-c-contiguous", rng.integers(0, 9, size=(3, 5)).T
+    yield "empty-layout", {"rows": 0, "cols": 4, "stored": np.zeros((0, 4), np.uint16)}
+    for size in (65_535, 65_536, 65_537, 160_000):  # blocks of 65,536 elements
+        yield f"size-{size}", {"n": size, "data": rng.integers(-1, 2, size, np.int8)}
+    yield "model-layers", {
+        "layers": [
+            {"rows": 4, "cols": 3, "weights": floats, "bias": floats[0], "relu": True},
+            {"rows": 3, "cols": 0, "weights": np.zeros((3, 0)), "bias": np.zeros(0),
+             "relu": False},
+        ],
+        "input_dim": 4,
+        "classes": 0,
+    }
+    yield "extra-replaces-a-key", {**mask, **{"rows": 9, "more": [1, (2, None)]}}
+    yield "extra-replaces-data", {**mask, **{"data": "replaced", "more": 2}}
+    yield "keys-of-every-kind", {"a\"\u00e9": mask["data"], 1: 2.5, 2.5: True, None: {}}
+    yield "arrays-in-a-tuple", (np.arange(3), [np.arange(2), []], float("nan"))
+
+
+@pytest.mark.parametrize("obj", [pytest.param(obj, id=name) for name, obj in _write_cases()])
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path, obj):
+    """The bytes of ``json.dumps`` of ``obj`` with each array written as the
+    flat C-order list of its elements; ``json_lists`` gives that object."""
+    listed = json.dumps(obj, default=lambda array: array.ravel().tolist())
+    path = tmp_path / "out.json"
+    numfmt.write_json(path, obj)
+    assert path.read_bytes() == listed.encode()
+    assert json.dumps(numfmt.json_lists(obj)) == listed
+
+
 def test_model_with_integer_weights_loads_the_same_floats(tmp_path):
     rng = np.random.default_rng(3)
     weights = rng.integers(-(10**17), 10**17, size=(3, 4)).tolist()
