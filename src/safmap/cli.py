@@ -10,6 +10,7 @@ and tool version under a ``config`` key.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +38,10 @@ def parse_rates(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError("range must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"range {text!r} has a part that is not a finite number")
+        if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
+            raise ValueError(f"range {text!r} must start and stop in [0, 1]")
         if step <= 0:
             raise ValueError("step must be positive")
         rates = []

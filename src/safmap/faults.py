@@ -60,9 +60,9 @@ class FaultInjectionSpec:
 @dataclass(frozen=True)
 class SafMask:
     """Ternary stuck-at states for an M x K matrix of n-bit weights, and
-    their packed pairs.  Both arrays are read-only, and ``cells`` copies the
-    array given only if that is writeable, so nothing written through the
-    mask or its caller's array can make them disagree."""
+    their packed pairs.  Both arrays are read-only (``cells`` as
+    :func:`safmap.numfmt.int_array` holds it), so nothing written through
+    the mask or its caller's array can make them disagree."""
 
     cells: np.ndarray  # int8, shape (M, K, n), entries in {-1, 0, +1}
     # uint16, shape (M, K): sa1 << n | sa0, bit k of each half for slice k
@@ -73,8 +73,6 @@ class SafMask:
         if cells.ndim != 3:
             raise ValueError("mask must have shape (rows, cols, bits)")
         check_width(cells.shape[2])
-        if cells.flags.writeable and np.may_share_memory(cells, self.cells):
-            cells = cells.copy()
         # Each state's (rows, K, n) comparison goes, about ``_DRAWS`` cells
         # at a time, into a (rows, K, 8) buffer whose unused high bits stay
         # 0, which ``packbits`` turns into one byte per weight.
@@ -89,7 +87,7 @@ class SafMask:
                 np.equal(block, state, out=part[:, :, :bits])
                 half = np.packbits(part.reshape(-1), bitorder="little")
                 out |= half.reshape(out.shape).astype(np.uint16) << shift
-        cells.flags.writeable = pair.flags.writeable = False
+        pair.flags.writeable = False
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "pair", pair)
 
@@ -224,11 +222,6 @@ def flip_pairs(pair: np.ndarray, j: int | np.ndarray, bits: int) -> np.ndarray:
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def _popcount16(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.uint16)
-    return _POPCOUNT8[x & 0xFF] + _POPCOUNT8[x >> 8]
-
-
 def count_unmasked(codes: np.ndarray, mask: SafMask) -> int:
     """Number of (row, col, bit) positions where a stuck value conflicts
     with the target bit.  Masked faults (stuck value == target bit) are
@@ -237,5 +230,5 @@ def count_unmasked(codes: np.ndarray, mask: SafMask) -> int:
     if codes.shape != (mask.rows, mask.cols):
         raise ValueError("code matrix shape does not match mask")
     sa0, sa1 = mask.packed()
-    conflict = (codes & sa0) | (~codes & sa1)
-    return int(_popcount16(conflict).sum())
+    conflict = (codes & sa0) | (~codes & sa1)  # below 2**bits <= 256
+    return int(_POPCOUNT8.take(conflict).sum())

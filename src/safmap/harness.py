@@ -183,6 +183,12 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
     """
     if not model.layers:
         raise ValueError("model key 'layers' is empty; a sweep maps at least one layer")
+    for i, layer in enumerate(model.layers):
+        if layer.weights.size == 0:
+            raise ValueError(
+                f"model layer {i} has weights of shape {layer.weights.shape}; "
+                "a sweep maps no empty layer"
+            )
     x_test, y_test = blob_test_set(model, dataset_seed)
     qmodel = quantize_model(model, spec.weight_bits, spec.act_bits)
     first = qmodel.layers[0]
@@ -192,10 +198,11 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
     total_weights = sum(lw.codes.size for lw in layers)
     total_cells = sum(r * c * b for r, c, b in shapes)
     lut = OnDemandLut(spec.weight_bits, MODE_TWOS_COMPLEMENT)
-    tiled = [
-        LayerWeights(np.tile(lw.codes, (1, spec.trials)), lw.bits, lw.mode)
-        for lw in layers
-    ]
+    tiled = []
+    for lw in layers:
+        codes = np.tile(lw.codes, (1, spec.trials))
+        codes.flags.writeable = False  # so the layer need not copy it
+        tiled.append(LayerWeights(codes, lw.bits, lw.mode))
 
     results: list[ResultRow] = []
     for rate in spec.rates:

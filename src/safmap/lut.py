@@ -29,6 +29,7 @@ import numpy as np
 
 from .mapping import closest_codes, table_keys
 from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, check_mode, check_width
+from .numfmt import int_array
 
 MAGIC = b"CVML"
 VERSION = 1
@@ -50,12 +51,12 @@ class CvmLut:
 
     bits: int
     mode: str
-    entries: np.ndarray  # uint8, length 6**bits
+    entries: np.ndarray  # uint8, length 6**bits, read-only
 
     def __post_init__(self) -> None:
         check_width(self.bits)
         check_mode(self.mode)
-        self.entries = np.asarray(self.entries, dtype=np.uint8)
+        self.entries = int_array(self.entries, "table entries", 0, 255, np.uint8)
         if self.entries.shape != (6**self.bits,):
             raise LutFormatError(
                 f"expected {6 ** self.bits} entries, got {self.entries.shape}"
@@ -127,6 +128,7 @@ def build_cvm_lut(bits: int, mode: str) -> CvmLut:
     for start in range(0, entries.size, n3):
         keys = np.arange(start, start + n3, dtype=np.uint32)
         entries[start : start + n3] = closest_codes(keys, bits, mode)
+    entries.flags.writeable = False  # so the table need not copy it
     return CvmLut(bits=bits, mode=mode, entries=entries)
 
 
@@ -145,7 +147,7 @@ def read_lut(path: str | Path) -> CvmLut:
         raise LutFormatError(f"{path}: unknown mode byte {raw[5]}")
     bits = raw[6]
     check_width(bits)
-    body = np.frombuffer(raw[7:], dtype=np.uint8).copy()
+    body = np.frombuffer(raw, dtype=np.uint8, offset=7)  # read-only, not copied
     try:
         return CvmLut(bits=bits, mode=_BYTE_MODES[raw[5]], entries=body)
     except LutFormatError as exc:

@@ -239,7 +239,7 @@ def cvm_codes(
 @dataclass(frozen=True)
 class MappedLayout:
     """Stored codes for one layer plus the per-chunk correction masks, held
-    read-only and copied only from a writeable array given, so no write
+    read-only as :func:`safmap.numfmt.int_array` holds them, so no write
     through the layout or its caller's arrays can put a code or flag out of
     range after validation."""
 
@@ -260,24 +260,17 @@ class MappedLayout:
         stored = int_array(self.stored, "stored", 0, hi, np.uint16)
         if stored.ndim != 2:
             raise ValueError("stored codes must be an M x K matrix")
-        if stored.flags.writeable and np.may_share_memory(stored, self.stored):
-            stored = stored.copy()
-        stored.flags.writeable = False
         object.__setattr__(self, "stored", stored)
         chunks = self.geometry.num_chunks
         for name, shape, scheme in (
             ("col_flip", (chunks, self.cols), SCHEME_SIGNFLIP),
             ("b_flip", (self.bits, chunks, self.cols), SCHEME_BITFLIP),
         ):
-            given = getattr(self, name)
-            flips = int_array(given, name, 0, 1, np.uint8)
+            flips = int_array(getattr(self, name), name, 0, 1, np.uint8)
             if flips.shape != shape:
                 raise ValueError(f"{name} has shape {flips.shape}, expected {shape}")
             if flips.any() and self.scheme != scheme:
                 raise ValueError(f"{name} may be set only in a {scheme} layout")
-            if flips.flags.writeable and np.may_share_memory(flips, given):
-                flips = flips.copy()
-            flips.flags.writeable = False
             object.__setattr__(self, name, flips)
 
     @property

@@ -276,11 +276,14 @@ def _out_of_range(name: str, flat, lo, hi, offset: int = 0) -> OutOfRangeError:
 
 
 def int_array(values, what: str, lo: int, hi: int, dtype) -> np.ndarray:
-    """In-memory ``values`` as a ``dtype`` array.  Anything numpy does not
-    read as integers (floats, null, ragged nesting, integers wider than 64
-    bits, booleans alone) is a ValueError naming ``what``, and a value
-    outside [lo, hi] an OutOfRangeError, checked before narrowing.  Empty is
-    legal, although numpy reads an empty list as float64."""
+    """In-memory ``values`` as a read-only ``dtype`` array that no write
+    through the caller's array can change: a fresh conversion is frozen, a
+    read-only ``dtype`` array kept as it is, and only writeable memory of
+    the caller's copied.  Anything numpy does not read as integers (floats,
+    null, ragged nesting, integers wider than 64 bits, booleans alone) is a
+    ValueError naming ``what``, and a value outside [lo, hi] an
+    OutOfRangeError, checked before narrowing.  Empty is legal, although
+    numpy reads an empty list as float64."""
     try:
         array = np.asarray(values)
     except ValueError:
@@ -291,7 +294,11 @@ def int_array(values, what: str, lo: int, hi: int, dtype) -> np.ndarray:
         raise ValueError(f"{what} must hold integers{wide}, got {array.dtype}")
     if array.size and (array.min() < lo or array.max() > hi):
         raise _out_of_range(what, array.ravel().tolist(), lo, hi)
-    return array.astype(dtype, copy=False)
+    array = array.astype(dtype, copy=False)
+    if array.flags.writeable and (array is values or array.base is not None):
+        array = array.copy()  # of memory the caller can write
+    array.flags.writeable = False
+    return array
 
 
 def json_array(
@@ -369,10 +376,12 @@ def decode_array(codes: np.ndarray, width: int, mode: str) -> np.ndarray:
 
 def encode_array(values: np.ndarray, width: int, mode: str) -> np.ndarray:
     """Raw patterns of decoded values, inverse of :func:`decode_array`;
-    raises OutOfRangeError if any value is not representable."""
+    raises OutOfRangeError if any value is not representable.  Read-only."""
     lo, hi = value_range(width, mode)
-    values = int_array(values, f"{width}-bit {mode} values", lo, hi, np.int64)
-    return (values & ((1 << width) - 1)).astype(np.uint16)
+    values = int_array(values, f"{width}-bit {mode} values", lo, hi, np.uint16)
+    codes = values & np.uint16((1 << width) - 1)  # uint16 wraps modulo 2**16
+    codes.flags.writeable = False
+    return codes
 
 
 def clamp_array(values: np.ndarray, width: int, mode: str) -> np.ndarray:

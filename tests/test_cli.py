@@ -243,6 +243,51 @@ def test_eval_rejects_rates_naming_no_rate(tmp_path, capsys, rates):
 
 
 @pytest.mark.parametrize(
+    "rates, message",
+    [
+        ("0:nan:0.1", "not a finite number"),
+        ("0:inf:0.01", "not a finite number"),
+        ("0:0.05:nan", "not a finite number"),
+        ("-inf:0.5:0.1", "not a finite number"),
+        ("0:1e9:1", "must start and stop in [0, 1]"),
+        ("-0.5:0.5:0.1", "must start and stop in [0, 1]"),
+        ("1.5:2:0.1", "must start and stop in [0, 1]"),
+    ],
+)
+def test_eval_rejects_rate_ranges_it_cannot_expand(tmp_path, capsys, rates, message):
+    # Each range once looped forever, or until memory ran out, before any
+    # of its rates was checked.
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--model", str(tmp_path / "model.json"), f"--rates={rates}",
+              "--out", str(tmp_path / "report.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_eval_refuses_model_with_an_empty_layer(tmp_path, capsys):
+    # A 16 -> 0 -> 4 model once failed in numpy's reshape; its weight errors
+    # would be NaN, which JSON cannot hold.
+    model = tmp_path / "model.json"
+    ToyModel(
+        layers=[
+            DenseLayer(np.zeros((16, 0)), np.zeros(0), relu=True),
+            DenseLayer(np.zeros((0, 4)), np.ones(4), relu=False),
+        ],
+        input_dim=16,
+        classes=4,
+    ).save(model)
+    report = tmp_path / "report.json"
+    code = main(["eval", "--model", str(model), "--rates", "0", "--trials", "1",
+                 "--out", str(report)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: model layer 0 has weights of shape (16, 0); a sweep maps no empty layer\n"
+    )
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
     "model_name, out, message",
     [
         ("model.json", "report.csv", "overwritten by its CSV twin"),

@@ -60,6 +60,7 @@ def test_serialization_round_trip(tmp_path):
     loaded = read_lut(path)
     assert loaded.bits == 3 and loaded.mode == TWOS
     assert np.array_equal(loaded.entries, lut.entries)
+    assert not loaded.entries.flags.writeable  # a view of the file's bytes
     # rebuilding and rewriting produces the identical byte stream
     other = tmp_path / "t2.lut"
     write_lut(build_cvm_lut(3, TWOS), other)
@@ -89,11 +90,22 @@ def test_unsupported_width():
         CvmLut(bits=2, mode=UNSIGNED, entries=np.zeros(35, dtype=np.uint8))
 
 
+def test_table_entries_are_checked_before_narrowing():
+    # An int64 entry of 300 was once narrowed to 44, a 6-bit code, and
+    # accepted.
+    entries = np.zeros(6**6, dtype=np.int64)
+    entries[5] = 300
+    with pytest.raises(OutOfRangeError, match="table entries element 5 is 300"):
+        CvmLut(bits=6, mode=UNSIGNED, entries=entries)
+    entries[5] = 255  # a byte, but not a 6-bit code
+    with pytest.raises(LutFormatError, match="entry of key 5 is 255, not a 6-bit code"):
+        CvmLut(bits=6, mode=UNSIGNED, entries=entries)
+
+
 def test_verify_detects_corruption():
     lut = build_cvm_lut(4, UNSIGNED)
     assert verify_lut(lut, samples=2000, seed=1) == []
-    corrupted = CvmLut(bits=4, mode=UNSIGNED, entries=lut.entries.copy())
-    corrupted.entries[:] = (corrupted.entries + 1) % 16
+    corrupted = CvmLut(bits=4, mode=UNSIGNED, entries=(lut.entries + 1) % 16)
     bad = verify_lut(corrupted, samples=2000, seed=1)
     assert len(bad) > 1900  # nearly every sampled key should now disagree
 

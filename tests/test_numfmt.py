@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from safmap import numfmt
+from safmap.crossbar import ActivationVector
+from safmap.faults import SafMask
+from safmap.lut import CvmLut, build_cvm_lut
+from safmap.mapping import SCHEME_BITFLIP, SCHEME_SIGNFLIP, LayerWeights, MappedLayout
 from safmap.numfmt import (
     MODE_TWOS_COMPLEMENT as TWOS,
     MODE_UNSIGNED as UNSIGNED,
@@ -148,6 +152,65 @@ def test_out_of_range_error_cuts_a_long_value():
 def test_int_array_names_what_is_wrong(values, wording):
     with pytest.raises(ValueError, match=rf"^weight codes {wording}$"):
         numfmt.int_array(values, "weight codes", 0, 15, np.uint16)
+
+
+def test_int_array_copies_only_memory_a_caller_can_write():
+    owned = np.arange(6, dtype=np.uint16).reshape(2, 3)
+    frozen = owned.copy()
+    frozen.flags.writeable = False
+    for given in (owned, owned[:, 1:], memoryview(owned)):  # the caller's memory
+        got = numfmt.int_array(given, "codes", 0, 15, np.uint16)
+        assert not got.flags.writeable and not np.shares_memory(got, owned)
+    converted = numfmt.int_array(owned, "codes", 0, 15, np.int64)
+    assert converted.flags.owndata and not converted.flags.writeable
+    assert owned.flags.writeable  # freezing a conversion leaves the input as it is
+    assert numfmt.int_array(frozen, "codes", 0, 15, np.uint16) is frozen
+    assert not numfmt.int_array([[1, 2]], "codes", 0, 15, np.uint16).flags.writeable
+    assert not encode_array(owned, 4, TWOS).flags.writeable
+
+
+def _value_objects():
+    """(name, the caller's writeable array, a build of an object from it,
+    the object's array) per value object, each read through int_array."""
+    flips = np.zeros((1, 3), dtype=np.uint8)
+    b_flips = np.zeros((4, 1, 3), dtype=np.uint8)
+
+    def layout(scheme, **arrays):
+        given = {"stored": np.zeros((2, 3), np.uint16), "col_flip": flips.copy(),
+                 "b_flip": b_flips.copy(), **arrays}
+        return MappedLayout(scheme, 4, TWOS, 2, **given)
+
+    return [
+        ("LayerWeights", np.arange(6, dtype=np.uint16).reshape(2, 3),
+         lambda a: LayerWeights(a, 4, TWOS), lambda o: o.codes),
+        ("SafMask", np.zeros((2, 3, 4), dtype=np.int8), SafMask, lambda o: o.cells),
+        ("MappedLayout.stored", np.arange(6, dtype=np.uint16).reshape(2, 3),
+         lambda a: layout(SCHEME_BITFLIP, stored=a), lambda o: o.stored),
+        ("MappedLayout.col_flip", flips.copy(),
+         lambda a: layout(SCHEME_SIGNFLIP, col_flip=a), lambda o: o.col_flip),
+        ("MappedLayout.b_flip", b_flips.copy(),
+         lambda a: layout(SCHEME_BITFLIP, b_flip=a), lambda o: o.b_flip),
+        ("ActivationVector", np.arange(5, dtype=np.int64),
+         lambda a: ActivationVector(a, 4, UNSIGNED), lambda o: o.values),
+        ("CvmLut", build_cvm_lut(2, UNSIGNED).entries.copy(),
+         lambda a: CvmLut(2, UNSIGNED, a), lambda o: o.entries),
+    ]
+
+
+@pytest.mark.parametrize(
+    "given, build, held",
+    [pytest.param(*case[1:], id=case[0]) for case in _value_objects()],
+)
+def test_value_objects_hold_arrays_no_write_can_change(given, build, held):
+    # A write through the caller's array after validation once reached
+    # LayerWeights, ActivationVector and CvmLut: mapping then raised
+    # IndexError on a weight code or table entry out of range.
+    obj = build(given)
+    before = held(obj).copy()
+    given.flat[0] ^= 1  # still in range, so only ownership can catch it
+    assert np.array_equal(held(obj), before)
+    with pytest.raises(ValueError, match="read-only"):
+        held(obj).flat[0] = 0
 
 
 # ---------------------------------------------------------------------------

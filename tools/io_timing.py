@@ -1,15 +1,16 @@
-"""Time each JSON file loader, and the mask and layout writers, on the
-shapes of perfbench's cli_io workload.
+"""Time each file loader, and the mask and layout writers, on the shapes
+of perfbench's cli_io workload.
 
-Writes the four files that ``safmap map`` and ``safmap mvm`` read there
+Writes the five files that ``safmap map`` and ``safmap mvm`` read there
 into a temporary directory: a 512x512 8-bit two's-complement weights
 file, its fault mask at 5%, the cvm layout of the two (row length 64)
 and a 512-element 8-bit unsigned activations file, all drawn from the
-workload's random stream for the given seed.  Then, per loader and per
-writer (``SafMask.save`` and ``MappedLayout.save``, each with a
-``config`` object as the CLI adds), it prints the minimum wall seconds of
-one call over the repeats, and the traced (tracemalloc) peak of one more
-call, file read or write included:
+workload's random stream for the given seed, and the 8-bit
+two's-complement mapping table that ``lut.read_lut`` reads.  Then, per
+loader and per writer (``SafMask.save`` and ``MappedLayout.save``, each
+with a ``config`` object as the CLI adds), it prints the minimum wall
+seconds of one call over the repeats, and the traced (tracemalloc) peak
+of one more call, file read or write included:
 
     PYTHONPATH=src python tools/io_timing.py [--repeats 7] [--seed 1]
 
@@ -28,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from safmap import cli
+from safmap import cli, lut
 from safmap.crossbar import ActivationVector
 from safmap.faults import SafMask, sample_saf_mask
 from safmap.mapping import LayerWeights, MappedLayout, build_layout
@@ -45,6 +46,8 @@ def write_files(root: Path, seed: int) -> tuple[dict[str, Path], SafMask, Mapped
     mask = sample_saf_mask(rng, (ROWS, COLS, BITS), RATE)
     acts = ActivationVector(rng.integers(0, 1 << BITS, size=ROWS), BITS, MODE_UNSIGNED)
     paths = {name: root / f"{name}.json" for name in ("mask", "weights", "layout", "activations")}
+    paths["lut"] = root / "n8.lut"
+    lut.write_lut(lut.build_cvm_lut(BITS, MODE_TWOS_COMPLEMENT), paths["lut"])
     mask.save(paths["mask"])
     paths["weights"].write_text(
         json.dumps({"rows": ROWS, "cols": COLS, "values": layer.values().ravel().tolist()})
@@ -69,6 +72,7 @@ def main() -> None:
             "weights": lambda: cli._load_weights(paths["weights"], BITS, MODE_TWOS_COMPLEMENT),
             "layout": lambda: MappedLayout.load(paths["layout"]),
             "activations": lambda: ActivationVector.load(paths["activations"]),
+            "lut": lambda: lut.read_lut(paths["lut"]),
         }
         writers = {
             "mask": lambda: mask.save(out, extra=extra),
