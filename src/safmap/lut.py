@@ -2,12 +2,14 @@
 
 One table covers every (target code, per-bit fault pattern) pair for a
 given width and decoding mode: 2**n codes times 3**n ternary fault
-patterns, i.e. 6**n entries of one byte each.  It is the enumeration
-engine (:func:`safmap.mapping.closest_codes`) evaluated on every key, built
-once and reused across layers and models; mapping looks up the keys of
-its signed target codes.  :class:`OnDemandLut` is the same
-table with each entry solved by that engine the first time it is looked up,
-for runs that meet only a few of the keys.
+patterns, i.e. 6**n entries of one byte each.  It holds the result of the
+enumeration engine (:func:`safmap.mapping.closest_codes`) for every key,
+but :func:`build_cvm_lut` builds it without enumerating, by a recursion
+over bit widths, once, to be reused across layers and models; mapping looks
+up the keys of its signed target codes.  The engine stays the oracle the
+table is checked against (:func:`verify_lut`).  :class:`OnDemandLut` is the
+same table with each entry solved by that engine the first time it is
+looked up, for runs that meet only a few of the keys.
 
 Key layout (fixed so files are bit-exact across runs), the one of
 :func:`safmap.mapping.table_keys`:
@@ -27,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mapping import closest_codes, table_keys
+from .faults import DIGIT_SA0, DIGIT_SA1, packed_from_fault_digits
+from .mapping import _cvm_tables, closest_codes, table_keys
 from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, check_mode, check_width
 from .numfmt import int_array
 
@@ -35,6 +38,9 @@ MAGIC = b"CVML"
 VERSION = 1
 _MODE_BYTES = {MODE_UNSIGNED: 0, MODE_TWOS_COMPLEMENT: 1}
 _BYTE_MODES = {v: k for k, v in _MODE_BYTES.items()}
+# Entries of the narrower table per pass of :func:`_widen`; bounds its
+# temporaries to a few hundred KiB.
+_PASS_ELEMENTS = 1 << 15
 
 
 class LutFormatError(ValueError):
@@ -45,9 +51,10 @@ class LutMismatchError(ValueError):
     """Cached table file built for another width or mode."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CvmLut:
-    """Closest-value mapping results for every key of one (width, mode)."""
+    """Closest-value mapping results for every key of one (width, mode),
+    frozen so that no assignment can replace the validated table."""
 
     bits: int
     mode: str
@@ -56,16 +63,17 @@ class CvmLut:
     def __post_init__(self) -> None:
         check_width(self.bits)
         check_mode(self.mode)
-        self.entries = int_array(self.entries, "table entries", 0, 255, np.uint8)
-        if self.entries.shape != (6**self.bits,):
+        entries = int_array(self.entries, "table entries", 0, 255, np.uint8)
+        if entries.shape != (6**self.bits,):
             raise LutFormatError(
-                f"expected {6 ** self.bits} entries, got {self.entries.shape}"
+                f"expected {6 ** self.bits} entries, got {entries.shape}"
             )
-        if self.entries.max() >> self.bits:  # the max makes no temporary
-            key = np.flatnonzero(self.entries >> self.bits)[0]
+        if entries.max() >> self.bits:  # the max makes no temporary
+            key = np.flatnonzero(entries >> self.bits)[0]
             raise LutFormatError(
-                f"entry of key {key} is {self.entries[key]}, not a {self.bits}-bit code"
+                f"entry of key {key} is {entries[key]}, not a {self.bits}-bit code"
             )
+        object.__setattr__(self, "entries", entries)
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """Entries of table keys, equivalent of
@@ -81,16 +89,21 @@ class CvmLut:
 class OnDemandLut(CvmLut):
     """The table of one (width, mode), each entry solved by
     :func:`safmap.mapping.closest_codes` the first time its key is looked
-    up.  Lookups write to it, so keep them on one thread."""
+    up.  Lookups write to its solved entries, so keep them on one thread;
+    its width and mode are frozen as the base table's are."""
 
     def __init__(self, bits: int, mode: str) -> None:
         check_width(bits)
         check_mode(mode)
-        self.bits = bits
-        self.mode = mode
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "mode", mode)
+        # The engine's tables are cached for the life of the process.  Made
+        # at the first lookup, they would land above the solved array and
+        # keep its memory, once freed, from serving a later large array.
+        _cvm_tables(bits, mode)
         # code + 1 per key, 0 while unsolved; np.zeros leaves untouched
         # pages unallocated.
-        self._solved = np.zeros(6**bits, dtype=np.uint16)
+        object.__setattr__(self, "_solved", np.zeros(6**bits, dtype=np.uint16))
 
     def _solve(self, keys: np.ndarray) -> None:
         """Solve distinct keys."""
@@ -119,17 +132,65 @@ class OnDemandLut(CvmLut):
 
 
 def build_cvm_lut(bits: int, mode: str) -> CvmLut:
-    """Run closest-value mapping over all 6**bits keys, one target code's
-    3**bits keys at a time."""
+    """Closest-value mapping results of all 6**bits keys, each width's
+    table widened by one bit (:func:`_widen`) from the width-0 table of
+    one key; equal to :func:`safmap.mapping.closest_codes` on every key."""
     check_width(bits)
     check_mode(mode)
-    n3 = 3**bits
-    entries = np.empty(6**bits, dtype=np.uint8)
-    for start in range(0, entries.size, n3):
-        keys = np.arange(start, start + n3, dtype=np.uint32)
-        entries[start : start + n3] = closest_codes(keys, bits, mode)
-    entries.flags.writeable = False  # so the table need not copy it
-    return CvmLut(bits=bits, mode=mode, entries=entries)
+    table = np.zeros(1, dtype=np.uint8)
+    for k in range(bits):
+        signed = int(k == bits - 1 and mode == MODE_TWOS_COMPLEMENT)
+        wider = np.empty(6 ** (k + 1), dtype=np.uint8)
+        _widen(table.reshape(1 << k, 3**k), wider.reshape(2, 1 << k, 3, 3**k), signed)
+        table = wider
+    table.flags.writeable = False  # so the table need not copy it
+    return CvmLut(bits=bits, mode=mode, entries=table)
+
+
+def _widen(sub: np.ndarray, out: np.ndarray, signed: int) -> None:
+    """Fill ``out``, the table of width k + 1 as (t_top, t_low, d_top, d'),
+    from ``sub``, the width-k table as (t_low, d'), in passes over rows of
+    ``sub`` holding up to ``_PASS_ELEMENTS`` entries.
+
+    Both tables are in offset order: the code, its sign bit flipped when
+    the top bit is a two's-complement sign bit (``signed``), so that decoded
+    distance is the distance between offset values.  A key's closest value
+    either keeps the target's top bit, and is the width-k entry at
+    (t_low, d') inside the target's half, or takes the other half's nearest
+    extreme: the least legal low value (the stuck-at-1 bits of d') above
+    the target, the greatest (the complement of its stuck-at-0 bits)
+    below.  A stuck top bit leaves one of the two; a free one takes the
+    nearer, ties the lower value, except at a sign bit, where the smaller
+    code is the upper, non-negative value.  When ``signed``, rows and
+    values are written in code order.
+    """
+    half, per_row = sub.shape  # 2**k, 3**k
+    sa0, sa1 = packed_from_fault_digits(np.arange(per_row), half.bit_length() - 1)
+    least = sa1.astype(np.int16)
+    greatest = (half - 1) ^ sa0.astype(np.int16)
+    flip = half * signed
+    # The offset top bit each stuck digit leaves legal.
+    stuck = ((DIGIT_SA1, 1 ^ signed), (DIGIT_SA0, signed))
+    step = max(1, _PASS_ELEMENTS // per_row)
+    for start in range(0, half, step):
+        inside = sub[start : start + step].astype(np.int16)
+        twice = 2 * np.arange(start, start + len(inside), dtype=np.int16)[:, None]
+        for t_top in (0, 1):
+            # When the target lies between the near and the far value,
+            # gap - half is how much farther the near one is; otherwise gap
+            # is below half and the near value is the nearer.
+            if t_top:
+                near, far = inside + half, greatest
+                gap = inside + greatest - twice
+            else:
+                near, far = inside, least + half
+                gap = twice - inside - least
+            dest = out[t_top ^ signed, start : start + step]
+            # The far value is nearer, or as near and the preferred one.
+            cross = gap >= half + (t_top == signed)
+            dest[:, 0] = np.where(cross, far, near) ^ flip  # fault-free top bit
+            for digit, bit in stuck:
+                dest[:, digit] = (near if bit == t_top else far) ^ flip
 
 
 def write_lut(lut: CvmLut, path: str | Path) -> None:

@@ -27,9 +27,12 @@ MODE_TWOS_COMPLEMENT = "twos_complement"
 MODES = (MODE_UNSIGNED, MODE_TWOS_COMPLEMENT)
 
 MAX_BITS = 8  # larger widths are rejected at configuration load
-# Elements per numpy conversion or encoding of a JSON array, and characters
-# per numpy parse of one; bounds the temporaries of each.
+# Elements per numpy conversion of a JSON array, and characters per numpy
+# parse of one; bounds the temporaries of each.
 _JSON_BLOCK = 1 << 16
+# Elements per encoding of an array by write_json.  json.dumps holds one str
+# per element (about 60 bytes), so this bounds a block's to about 0.5 MiB.
+_JSON_WRITE_BLOCK = 1 << 13
 # Longest value an error message quotes in full; longer ones are cut.
 _QUOTE_LIMIT = 40
 
@@ -190,8 +193,9 @@ def json_lists(obj):
 
 def write_json(path: str | Path, obj) -> None:
     """Write the bytes of ``json.dumps(json_lists(obj))`` to ``path`` in one
-    call, each array encoded ``_JSON_BLOCK`` elements at a time rather than
-    as one list of Python ints (16.8 MB of pointers for a 512x512x8 mask)."""
+    call, each array encoded ``_JSON_WRITE_BLOCK`` elements at a time rather
+    than as one list of Python ints (16.8 MB of pointers for a 512x512x8
+    mask)."""
     out = bytearray()
     _encode(obj, out)
     Path(path).write_bytes(out)
@@ -202,9 +206,10 @@ def _encode(obj, out: bytearray) -> None:
     if isinstance(obj, np.ndarray):
         flat = obj.reshape(-1)
         out += b"["
-        for start in range(0, flat.size, _JSON_BLOCK):
+        for start in range(0, flat.size, _JSON_WRITE_BLOCK):
             out += b", " if start else b""
-            out += json.dumps(flat[start : start + _JSON_BLOCK].tolist())[1:-1].encode()
+            block = flat[start : start + _JSON_WRITE_BLOCK].tolist()
+            out += json.dumps(block)[1:-1].encode()
         out += b"]"
     elif isinstance(obj, dict):
         out += b"{"

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,38 @@ def test_n2_table_matches_oracle_everywhere(mode):
             target = decode(code, 2, mode)
             want, _ = brute_cvm(target, cell, 2, mode)
             assert lut.entries[code * 9 + pattern] == want
+
+
+@pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_build_equals_enumeration_on_every_key(monkeypatch, bits, mode):
+    from safmap import lut as lut_mod, mapping
+
+    solve = mapping.closest_codes
+    want = solve(np.arange(6**bits), bits, mode)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(lut_mod, "closest_codes", counting)
+    monkeypatch.setattr(mapping, "closest_codes", counting)
+    got = build_cvm_lut(bits, mode).entries
+    assert calls == []  # built without enumerating candidates
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", ["entries", "bits", "mode"])
+def test_tables_refuse_assignment(field):
+    # Assigning entries once replaced the validated table, and a bit-flip
+    # mapping then read codes out of range.
+    for table in (build_cvm_lut(2, UNSIGNED), OnDemandLut(2, UNSIGNED)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table, field, np.full(36, 255, dtype=np.uint8))
+        assert (table.bits, table.mode) == (2, UNSIGNED)
+        assert np.array_equal(table.entries, build_cvm_lut(2, UNSIGNED).entries)
 
 
 def test_clamped_out_of_range_target():
@@ -185,9 +218,10 @@ def test_n8_build_peak_memory_from_cold_cache(mode):
 
 
 def test_n8_build_holds_no_large_temporary():
-    # Keys pass through the candidate table 256 KiB at a time, so a build
-    # peaks about 0.6 MiB above its 1.6 MiB of entries; passes of all 3**8
-    # keys of a target code held three 1.6 MiB temporaries (3.4 MiB above).
+    # The top bit is widened straight into the 1.6 MiB of entries, in passes
+    # of up to 32 Ki entries of the 7-bit table, so a build peaks about
+    # 0.6 MiB above the entries: the 0.27 MiB 7-bit table and one pass's
+    # int16 temporaries.  One more copy of the full table would add 1.6 MiB.
     build_cvm_lut(8, TWOS)  # warms the cached tables
     tracemalloc.start()
     try:

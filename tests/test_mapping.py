@@ -545,8 +545,9 @@ def test_layout_json_round_trip(tmp_path):
 
 
 def test_layout_save_peak_memory():
-    # The file's 1.3 MB of bytes and one block's json.dumps: about 4.9 MiB.
-    # Three tolist() lists and one json.dumps of them peaked at 6.6 MiB.
+    # The file's 1.3 MB of bytes and one 8,192-element block's json.dumps:
+    # about 2.0 MiB.  Blocks of 65,536 elements peaked at 4.9 MiB, and three
+    # tolist() lists and one json.dumps of them at 6.6 MiB.
     rng = np.random.default_rng(9)
     args = valid_layout_args(SCHEME_BITFLIP, bits=8, rows=512, cols=512, row_len=64)
     args["stored"] = rng.integers(0, 256, size=(512, 512)).astype(np.uint16)
@@ -558,7 +559,7 @@ def test_layout_save_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.5 * 2**20
+    assert peak < 2.5 * 2**20
 
 
 def valid_layout_args(scheme, bits=3, rows=5, cols=2, row_len=2):

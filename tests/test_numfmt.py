@@ -330,7 +330,8 @@ def _write_cases():
     yield "bool", rng.integers(0, 2, size=(3, 3)).astype(bool)
     yield "not-c-contiguous", rng.integers(0, 9, size=(3, 5)).T
     yield "empty-layout", {"rows": 0, "cols": 4, "stored": np.zeros((0, 4), np.uint16)}
-    for size in (65_535, 65_536, 65_537, 160_000):  # blocks of 65,536 elements
+    # Around the writer's blocks of 8,192 elements and the reader's 65,536.
+    for size in (8_191, 8_192, 8_193, 65_535, 65_536, 65_537, 160_000):
         yield f"size-{size}", {"n": size, "data": rng.integers(-1, 2, size, np.int8)}
     yield "model-layers", {
         "layers": [
