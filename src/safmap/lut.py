@@ -3,13 +3,14 @@
 One table covers every (target code, per-bit fault pattern) pair for a
 given width and decoding mode: 2**n codes times 3**n ternary fault
 patterns, i.e. 6**n entries of one byte each.  It holds the result of the
-enumeration engine (:func:`safmap.mapping.closest_codes`) for every key,
-but :func:`build_cvm_lut` builds it without enumerating, by a recursion
-over bit widths, once, to be reused across layers and models; mapping looks
-up the keys of its signed target codes.  The engine stays the oracle the
-table is checked against (:func:`verify_lut`).  :class:`OnDemandLut` is the
-same table with each entry solved by that engine the first time it is
-looked up, for runs that meet only a few of the keys.
+enumeration engine (:func:`safmap.mapping.closest_codes`) for every key;
+:func:`build_cvm_lut` builds it by a recursion over bit widths, without
+enumerating, and one table serves every layer and model of its width and
+mode.  Mapping looks up the keys of its signed target codes.  The engine
+stays the oracle the table is checked against (:func:`verify_lut`).
+:class:`OnDemandLut` is the same table with each entry solved by that
+engine the first time it is looked up, for runs that meet only a few of
+the keys.
 
 Key layout (fixed so files are bit-exact across runs), the one of
 :func:`safmap.mapping.table_keys`:
