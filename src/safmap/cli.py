@@ -137,7 +137,7 @@ def cmd_map(args) -> int:
         )
     if args.scheme == "signflip" and args.mode == MODE_UNSIGNED:
         raise UsageError("--scheme signflip requires --mode twos_complement")
-    table = lut_mod.load_or_build(args.bits, args.mode, args.lut) if args.lut else None
+    table = lut_mod.load_or_build(args.bits, args.mode, args.lut)
     layout = build_layout(args.scheme, layer, mask, args.row_len, lut=table)
     layout.save(args.out, extra={"config": _provenance(args, skip=("out",))})
     _, total = mapping.mapping_error(layout, layer)
@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=MODE_TWOS_COMPLEMENT)
     p.add_argument("--lut", default=None,
                    help="table file to use (built and cached there if absent; "
-                        "a table of another width or mode is refused)")
+                        "a table of another width or mode is refused); "
+                        "without it the table is built in memory")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_map)
 
@@ -362,10 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="time sign-flip and bit-flip mapping with and without the table",
         description="Time sign-flip and bit-flip mapping of one random layer. "
-        "The 'direct' column runs without a table: the exhaustive per-word "
-        "correction-word search, reading a table solved on demand for that "
-        "call, which enumerates each distinct key once. The 'lut' column "
-        "runs with the table and its subset-sum search.",
+        "The 'direct' column runs without a given table: the exhaustive "
+        "per-word correction-word search, the oracle of the subset-sum "
+        "search, over a table built for that call. The 'lut' column runs "
+        "with the given table and its subset-sum search.",
     )
     p.add_argument("--dims", type=_dims, default=(512, 512))
     p.add_argument("--bits", type=_width, default=8)

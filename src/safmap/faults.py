@@ -145,6 +145,17 @@ def sample_saf_mask(
     sa1_fraction: float = 0.5,
 ) -> SafMask:
     """Draw one i.i.d. mask from an already-derived random stream."""
+    return SafMask(cells=_sample_cells(rng, shape, rate, sa1_fraction))
+
+
+def _sample_cells(
+    rng: np.random.Generator,
+    shape: tuple[int, int, int],
+    rate: float,
+    sa1_fraction: float,
+) -> np.ndarray:
+    """The read-only int8 cells of :func:`sample_saf_mask`, not packed, so
+    that callers who stack several streams' cells pack them once."""
     if not 0.0 <= rate <= 1.0:
         raise InvalidRateError(f"fault rate must be in [0, 1], got {rate}")
     if not 0.0 <= sa1_fraction <= 1.0:
@@ -162,8 +173,8 @@ def sample_saf_mask(
     for start in range(0, flat.size, _DRAWS):
         block = flat[start : start + _DRAWS]
         block[(rng.random(block.size) < sa1_fraction) & (block == SA0)] = SA1
-    cells.flags.writeable = False  # so the mask need not copy it
-    return SafMask(cells=cells)
+    cells.flags.writeable = False  # so a mask need not copy it
+    return cells
 
 
 def gen_saf_mask(spec: FaultInjectionSpec, shape: tuple[int, int, int]) -> SafMask:

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .crossbar import CrossbarConfig, mvm_simulate_batch
-from .faults import SafMask, count_unmasked, mask_rng, sample_saf_mask
-from .lut import CvmLut, OnDemandLut, build_cvm_lut
+from .faults import SafMask, _sample_cells, count_unmasked, mask_rng, sample_saf_mask
+from .lut import CvmLut, build_cvm_lut
 from .mapping import (
     SCHEME_BITFLIP,
     SCHEME_SIGNFLIP,
@@ -144,10 +144,11 @@ def run_inference(
 
 def trial_masks(
     spec: SweepSpec, trial: int, shapes: list[tuple[int, int, int]], rate: float
-) -> list[SafMask]:
-    """One mask per layer for a given trial, from independent substreams."""
+) -> list[np.ndarray]:
+    """The mask cells of every layer for a given trial, from independent
+    substreams, not yet packed into masks."""
     return [
-        sample_saf_mask(
+        _sample_cells(
             mask_rng(spec.base_seed, trial, layer_idx),
             shape,
             rate,
@@ -164,10 +165,10 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
     (scheme, layer): the trials' masks side by side against the layer's
     codes tiled once per trial.  Every correction word is chosen per
     (chunk, column), so each trial's column block is the layout that trial
-    gets when mapped alone.  The closest-value table is solved on demand
-    (:class:`safmap.lut.OnDemandLut`), for the keys the sweep meets only;
-    ``map_seconds`` is each trial's share of its rate's batched mapping
-    time.
+    gets when mapped alone.  One full table is built per sweep and read by
+    every mapping; ``map_seconds`` is each trial's share of its rate's
+    batched mapping time.  The trials' cells of a (rate, layer) are
+    stacked and packed into one mask.
 
     Each trial is scored from its column block of the stacked layouts,
     without the crossbar simulator, which equals ``a @ effective_values``
@@ -197,7 +198,7 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
     shapes = [(lw.rows, lw.cols, lw.bits) for lw in layers]
     total_weights = sum(lw.codes.size for lw in layers)
     total_cells = sum(r * c * b for r, c, b in shapes)
-    lut = OnDemandLut(spec.weight_bits, MODE_TWOS_COMPLEMENT)
+    lut = build_cvm_lut(spec.weight_bits, MODE_TWOS_COMPLEMENT)
     tiled = []
     for lw in layers:
         codes = np.tile(lw.codes, (1, spec.trials))
@@ -206,10 +207,10 @@ def run_sweep(model: ToyModel, spec: SweepSpec, dataset_seed: int = 0) -> EvalRe
 
     results: list[ResultRow] = []
     for rate in spec.rates:
-        masks = [trial_masks(spec, t, shapes, rate) for t in range(spec.trials)]
+        drawn = [trial_masks(spec, t, shapes, rate) for t in range(spec.trials)]
         stacked_masks = []
         for i in range(len(layers)):
-            cells = np.concatenate([ms[i].cells for ms in masks], axis=1)
+            cells = np.concatenate([trial[i] for trial in drawn], axis=1)
             cells.flags.writeable = False  # so the mask need not copy it
             stacked_masks.append(SafMask(cells))
         unmasked = sum(count_unmasked(lw.codes, m) for lw, m in zip(tiled, stacked_masks))
@@ -273,10 +274,10 @@ def bench_lut(
     lut: CvmLut | None = None,
 ) -> dict:
     """Median wall-clock of sign-flip and bit-flip with and without the
-    precomputed table, on identical inputs.  Without the table the word
-    search is the exhaustive per-word one, the oracle of the table's
-    subset-sum search, reading a table solved on demand for that call (each
-    distinct key enumerated once per call)."""
+    precomputed table, on identical inputs.  Without the table
+    (``lut=None``) the word search is the exhaustive per-word one, the
+    oracle of the table's subset-sum search, over a table built for that
+    call."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if rows < 1 or cols < 1:

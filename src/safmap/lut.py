@@ -6,11 +6,10 @@ patterns, i.e. 6**n entries of one byte each.  It holds the result of the
 enumeration engine (:func:`safmap.mapping.closest_codes`) for every key;
 :func:`build_cvm_lut` builds it by a recursion over bit widths, without
 enumerating, and one table serves every layer and model of its width and
-mode.  Mapping looks up the keys of its signed target codes.  The engine
-stays the oracle the table is checked against (:func:`verify_lut`).
-:class:`OnDemandLut` is the same table with each entry solved by that
-engine the first time it is looked up, for runs that meet only a few of
-the keys.
+mode.  It is the one table kind: every mapping reads a full table, which
+takes about 2 ms to build at 8 bits.  Mapping looks up the keys of its
+signed target codes.  The engine stays the oracle the table is checked
+against (:func:`verify_lut`).
 
 Key layout (fixed so files are bit-exact across runs), the one of
 :func:`safmap.mapping.table_keys`:
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .faults import DIGIT_SA0, DIGIT_SA1, packed_from_fault_digits
-from .mapping import _cvm_tables, closest_codes, table_keys
+from .mapping import closest_codes, table_keys
 from .numfmt import MODE_TWOS_COMPLEMENT, MODE_UNSIGNED, check_mode, check_width
 from .numfmt import int_array
 
@@ -85,51 +84,6 @@ class CvmLut:
         """Closest legal code of each target code under its packed fault
         pair ``sa1 << bits | sa0``."""
         return self.lookup(table_keys(codes, pair, self.bits)).astype(np.uint16)
-
-
-class OnDemandLut(CvmLut):
-    """The table of one (width, mode), each entry solved by
-    :func:`safmap.mapping.closest_codes` the first time its key is looked
-    up.  Lookups write to its solved entries, so keep them on one thread;
-    its width and mode are frozen as the base table's are."""
-
-    def __init__(self, bits: int, mode: str) -> None:
-        check_width(bits)
-        check_mode(mode)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "mode", mode)
-        # The engine's tables are cached for the life of the process.  Made
-        # at the first lookup, they would land above the solved array and
-        # keep its memory, once freed, from serving a later large array.
-        _cvm_tables(bits, mode)
-        # code + 1 per key, 0 while unsolved; np.zeros leaves untouched
-        # pages unallocated.
-        object.__setattr__(self, "_solved", np.zeros(6**bits, dtype=np.uint16))
-
-    def _solve(self, keys: np.ndarray) -> None:
-        """Solve distinct keys."""
-        self._solved[keys] = closest_codes(keys, self.bits, self.mode) + 1
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        found = self._solved.take(keys)
-        unsolved = found == 0
-        if unsolved.any():
-            missing = np.asarray(keys)[unsolved]
-            # Sort and compare rather than np.unique, which imports numpy.ma
-            # (about 16 ms of a fresh process).
-            ordered = np.sort(missing)
-            distinct = np.ones(ordered.size, dtype=bool)
-            np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
-            self._solve(ordered[distinct])
-            found[unsolved] = self._solved.take(missing)
-        found -= 1
-        return found
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Every entry, solving the keys not looked up yet."""
-        self._solve(np.flatnonzero(self._solved == 0))
-        return (self._solved - 1).astype(np.uint8)
 
 
 def build_cvm_lut(bits: int, mode: str) -> CvmLut:

@@ -6,14 +6,15 @@ each correspond to one physical memory sub-array.  :func:`build_layout` is
 the one entry point; every scheme but naive picks one correction word
 ``sign << bits | j`` per (chunk, column) and then maps once.
 
-Every scheme but naive maps through one table object: the given
-:class:`safmap.lut.CvmLut`, or else a :class:`safmap.lut.OnDemandLut` made
-for the call, which enumerates each distinct key once per call.  The
-correction-word search has two implementations that choose the same words.
-With a given table it scores every word at once by subset sums over each
-faulty weight's stuck bits (:func:`_subset_words`); without one it is the
-exhaustive per-word search (:func:`_best_words`) reading the on-demand
-table, kept as the oracle the subset-sum search is checked against.
+Every scheme but naive maps through one full table,
+:class:`safmap.lut.CvmLut`: the given one, or else one built for the call.
+The correction-word search has two implementations that choose the same
+words.  With a given table it scores every word at once by subset sums over
+each faulty weight's stuck bits (:func:`_subset_words`); without one
+(``lut=None``) it is the exhaustive per-word search (:func:`_best_words`)
+over the table built for the call, kept as the oracle the subset-sum search
+is checked against.  The enumeration engine (:func:`closest_codes`) is the
+oracle the table itself is checked against.
 
 Mapping works on weight codes throughout: :func:`_signed_codes` gives each
 sign's clamped target code and clamp cost, and error is read from the
@@ -148,16 +149,20 @@ class ChunkGeometry:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _cvm_tables(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """(err, penalty) lookup tables for the enumeration engine.
-
-    err[t, c]     : |decode(c) - decode(t)| for target code t, uint8.
-    penalty[d, c] : 0x00 if candidate c is legal under the base-3 fault
-                    digits d, i.e. a naive write leaves it unchanged,
-                    else 0xFF.
-    """
+def _err_table(bits: int, mode: str) -> np.ndarray:
+    """err[t, c] = |decode(c) - decode(t)| for target code t, uint8: the
+    error both word searches and the enumeration engine read."""
     dec = decode_table(bits, mode).astype(np.int32)
     err = np.abs(dec[None, :] - dec[:, None]).astype(np.uint8)
+    err.flags.writeable = False  # shared by every caller
+    return err
+
+
+@functools.cache
+def _penalty_table(bits: int) -> np.ndarray:
+    """penalty[d, c] = 0x00 if candidate code c is legal under the base-3
+    fault digits d, i.e. a naive write leaves it unchanged, else 0xFF: the
+    enumeration engine's legality table, the same in both modes."""
     cand = np.arange(1 << bits, dtype=np.uint16)
     sa0, sa1 = packed_from_fault_digits(np.arange(3**bits), bits)
     penalty = np.empty((3**bits, 1 << bits), dtype=np.uint8)
@@ -166,8 +171,8 @@ def _cvm_tables(bits: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
         rows = slice(start, start + step)
         written = force_write_array(cand, sa0[rows, None], sa1[rows, None])
         np.multiply(written != cand, _ILLEGAL, out=penalty[rows])
-    err.flags.writeable = penalty.flags.writeable = False  # shared by every caller
-    return err, penalty
+    penalty.flags.writeable = False  # shared by every caller
+    return penalty
 
 
 def _candidate_rows(bits: int) -> int:
@@ -202,7 +207,7 @@ def table_keys(codes: np.ndarray, pair: np.ndarray, bits: int) -> np.ndarray:
 def closest_codes(keys: np.ndarray, bits: int, mode: str) -> np.ndarray:
     """Closest legal code of every table key, by enumerating all
     ``2**bits`` candidates; the smallest code wins ties."""
-    err_tab, pen_tab = _cvm_tables(bits, mode)
+    err_tab, pen_tab = _err_table(bits, mode), _penalty_table(bits)
     keys = np.asarray(keys)
     flat = keys.ravel()
     out = np.empty(flat.size, dtype=np.uint16)
@@ -403,7 +408,7 @@ def _best_words(
     size = geom.num_chunks * layer.cols
     group, pair, base, offset, row = _faulty_terms(signs, pair, geom, layer)
     digit_of_pair = _key_tables(bits)[0]
-    err_of = _cvm_tables(bits, layer.mode)[0].reshape(-1)
+    err_of = _err_table(bits, layer.mode).reshape(-1)
     key = np.empty(group.size, dtype=np.uint32)
     err = np.empty(group.size, dtype=np.uint8)
     best = np.full(size, np.inf)
@@ -511,7 +516,7 @@ def _subset_words(
     group, pair, base, offset, row = _faulty_terms(signs, pair, geom, layer)
     stuck = (pair ^ (pair >> bits)) & np.uint32(nsub - 1)
     digit_of_pair = _key_tables(bits)[0]
-    err_of = _cvm_tables(bits, layer.mode)[0].reshape(-1)
+    err_of = _err_table(bits, layer.mode).reshape(-1)
     both = np.uint32((1 << bits) + 1)  # s * both == s << bits | s
     span = max(1, _SCORE_BYTES // (8 * width))
     best = np.empty(size, dtype=np.int64)
@@ -556,10 +561,11 @@ def build_layout(
     0 and ``1 << bits`` (negate the column), bit-flip every slice mask j --
     and then map each weight once: closest-value mapping of
     ``(-1)**sign * target`` against the faults seen through j, stored XOR j.
-    Both steps read one table: ``lut``, or else an on-demand table made for
-    this call, which enumerates each distinct key once.  With ``lut`` the
-    words are found by the subset-sum search, without it by the exhaustive
-    per-word search; both pick the same words.
+    Both steps read one full table: ``lut``, or else one built for this
+    call.  With ``lut`` the words are found by the subset-sum search;
+    ``lut=None`` means the exhaustive per-word search, the oracle of the
+    subset-sum search, over the table built for the call.  Both pick the
+    same words.
     """
     if (mask.rows, mask.cols, mask.bits) != (layer.rows, layer.cols, layer.bits):
         raise ValueError(
@@ -583,9 +589,9 @@ def build_layout(
     if scheme == SCHEME_NAIVE:
         np.copyto(stored, force_write_array(layer.codes, *mask.packed()))
     else:
-        from .lut import OnDemandLut  # lut imports this module
+        from .lut import build_cvm_lut  # lut imports this module
 
-        table = OnDemandLut(bits, layer.mode) if lut is None else lut
+        table = build_cvm_lut(bits, layer.mode) if lut is None else lut
         if (table.bits, table.mode) != (bits, layer.mode):
             raise ValueError(
                 f"LUT built for ({table.bits}-bit, {table.mode}) cannot map a "

@@ -137,6 +137,28 @@ def test_map_with_and_without_lut_agree(tmp_path):
     assert np.array_equal(a.b_flip, b.b_flip)
 
 
+@pytest.mark.parametrize("scheme", ["naive", "cvm", "signflip", "bitflip"])
+def test_map_writes_one_layout_with_and_without_lut(tmp_path, scheme):
+    # Without --lut the table is built in memory, so both runs take the
+    # subset-sum search; the files differ only in the --lut they record.
+    rng = np.random.default_rng(6)
+    weights = tmp_path / "w.json"
+    write_weights(weights, rng.integers(-128, 128, size=(40, 7)))
+    mask_path = tmp_path / "m.json"
+    assert main(["inject", "--rows", "40", "--cols", "7", "--bits", "8",
+                 "--rate", "0.2", "--seed", "2", "--out", str(mask_path)]) == 0
+    base = ["map", "--scheme", scheme, "--weights", str(weights),
+            "--mask", str(mask_path), "--bits", "8", "--row-len", "16"]
+    table = tmp_path / "n8.lut"
+    assert main(base + ["--out", str(tmp_path / "d.json")]) == 0
+    assert main(base + ["--lut", str(table), "--out", str(tmp_path / "l.json")]) == 0
+    direct, cached = ((tmp_path / name).read_text() for name in ("d.json", "l.json"))
+    start = direct.index(', "config": ')
+    assert cached[:start] == direct[:start]
+    want = {**json.loads(direct)["config"], "lut": str(table)}
+    assert json.loads(cached)["config"] == want
+
+
 def test_map_shape_mismatch_is_usage_error(tmp_path):
     weights = tmp_path / "w.json"
     write_weights(weights, [[1, 2], [3, 4]])

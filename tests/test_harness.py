@@ -7,7 +7,7 @@ import pytest
 
 import safmap.harness as harness
 import safmap.mapping as mapping
-from safmap.faults import count_unmasked
+from safmap.faults import SafMask, count_unmasked, mask_rng, sample_saf_mask
 from safmap.harness import (
     EvalReport,
     REPORT_COLUMNS,
@@ -53,10 +53,10 @@ def test_fault_free_layouts_reproduce_reference_inference(model):
     _, _, x_test, _ = make_blob_dataset(seed=0)
     qmodel = quantize_model(model)
     layers = layer_weight_matrices(qmodel)
-    masks = trial_masks(SMALL, 0, [(lw.rows, lw.cols, lw.bits) for lw in layers], 0.0)
+    cells = trial_masks(SMALL, 0, [(lw.rows, lw.cols, lw.bits) for lw in layers], 0.0)
     layouts = [
-        build_layout(SCHEME_CVM, lw, mask, SMALL.row_len)
-        for lw, mask in zip(layers, masks)
+        build_layout(SCHEME_CVM, lw, SafMask(c), SMALL.row_len)
+        for lw, c in zip(layers, cells)
     ]
     got = run_inference(qmodel, layouts, x_test)
     assert np.array_equal(got, quantized_predict(qmodel, x_test))
@@ -67,10 +67,14 @@ def test_trial_masks_are_paired_and_distinct():
     a = trial_masks(SMALL, 0, shapes, 0.05)
     b = trial_masks(SMALL, 0, shapes, 0.05)
     c = trial_masks(SMALL, 1, shapes, 0.05)
-    for ma, mb in zip(a, b):
-        assert np.array_equal(ma.cells, mb.cells)
-    assert not np.array_equal(a[0].cells, c[0].cells)
-    assert not np.array_equal(a[0].cells[:16, :4], a[1].cells[:16])
+    for ca, cb in zip(a, b):
+        assert np.array_equal(ca, cb)
+    assert not np.array_equal(a[0], c[0])
+    assert not np.array_equal(a[0][:16, :4], a[1][:16])
+    # The cells are those of the mask sample_saf_mask draws from the stream.
+    for i, shape in enumerate(shapes):
+        want = sample_saf_mask(mask_rng(SMALL.base_seed, 0, i), shape, 0.05)
+        assert np.array_equal(a[i], want.cells)
 
 
 def test_per_trial_error_dominance(model):
@@ -134,7 +138,10 @@ def test_sweep_matches_trials_mapped_alone(model, row_len):
     total_weights = sum(lw.codes.size for lw in layers)
     want = []
     for rate in spec.rates:
-        masks = [trial_masks(spec, t, shapes, rate) for t in range(spec.trials)]
+        masks = [
+            [SafMask(c) for c in trial_masks(spec, t, shapes, rate)]
+            for t in range(spec.trials)
+        ]
         unmasked = [
             sum(count_unmasked(lw.codes, m) for lw, m in zip(layers, ms)) for ms in masks
         ]
@@ -169,13 +176,47 @@ def test_sweep_matches_trials_mapped_alone(model, row_len):
     assert any(row["mean_abs_weight_err"] > 0 for row in want)
 
 
-def test_sweep_does_not_build_the_full_table(model, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("run_sweep built the full mapping table")
+def test_sweep_builds_one_table_and_enumerates_no_key(model, monkeypatch):
+    # Every mapping of the sweep reads the one full table it builds.
+    import safmap.lut as lut
 
-    monkeypatch.setattr(harness, "build_cvm_lut", refuse)
-    report = run_sweep(model, SweepSpec(rates=(0.05,), trials=2, base_seed=3))
-    assert len(report.results) == len(SCHEMES)
+    built = []
+    real_build = lut.build_cvm_lut
+
+    def counting_build(*args):
+        built.append(args)
+        return real_build(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran the enumeration engine")
+
+    monkeypatch.setattr(harness, "build_cvm_lut", counting_build)
+    monkeypatch.setattr(lut, "build_cvm_lut", counting_build)
+    monkeypatch.setattr(mapping, "closest_codes", refuse)
+    monkeypatch.setattr(lut, "closest_codes", refuse)
+    report = run_sweep(model, SweepSpec(rates=(0.0, 0.05), trials=2, base_seed=3))
+    assert len(report.results) == 2 * len(SCHEMES)
+    assert built == [(8, "twos_complement")]
+
+
+def test_sweep_packs_one_mask_per_rate_and_layer(model, monkeypatch):
+    # The trials' cells are stacked before any mask is built, so no trial's
+    # own mask is packed and then dropped.
+    built = []
+    real_init = SafMask.__post_init__
+
+    def counting_init(self):
+        built.append(self.cells.shape)
+        real_init(self)
+
+    monkeypatch.setattr(SafMask, "__post_init__", counting_init)
+    spec = SweepSpec(rates=(0.0, 0.02, 0.05), trials=4, base_seed=3)
+    run_sweep(model, spec)
+    stacked = [
+        (w.shape[0], w.shape[1] * spec.trials, spec.weight_bits)
+        for w in (layer.weights for layer in model.layers)
+    ]
+    assert built == stacked * len(spec.rates)
 
 
 def test_sweep_does_not_simulate(model, monkeypatch):

@@ -6,12 +6,10 @@ import pytest
 
 from oracle import all_fault_cells, brute_cvm, cell_to_packed
 from safmap.faults import FAULT_FREE as FF, SA0, SA1
-from safmap.faults import packed_from_fault_digits
 from safmap.lut import (
     CvmLut,
     LutFormatError,
     LutMismatchError,
-    OnDemandLut,
     build_cvm_lut,
     load_or_build,
     read_lut,
@@ -69,11 +67,11 @@ def test_build_equals_enumeration_on_every_key(monkeypatch, bits, mode):
 def test_tables_refuse_assignment(field):
     # Assigning entries once replaced the validated table, and a bit-flip
     # mapping then read codes out of range.
-    for table in (build_cvm_lut(2, UNSIGNED), OnDemandLut(2, UNSIGNED)):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(table, field, np.full(36, 255, dtype=np.uint8))
-        assert (table.bits, table.mode) == (2, UNSIGNED)
-        assert np.array_equal(table.entries, build_cvm_lut(2, UNSIGNED).entries)
+    table = build_cvm_lut(2, UNSIGNED)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(table, field, np.full(36, 255, dtype=np.uint8))
+    assert (table.bits, table.mode) == (2, UNSIGNED)
+    assert np.array_equal(table.entries, build_cvm_lut(2, UNSIGNED).entries)
 
 
 def test_clamped_out_of_range_target():
@@ -206,7 +204,8 @@ def test_n8_build_peak_memory_from_cold_cache(mode):
     # A cold 8-bit build holds tables over the 3**8 fault digits only.
     from safmap import faults, mapping
 
-    mapping._cvm_tables.cache_clear()
+    mapping._err_table.cache_clear()
+    mapping._penalty_table.cache_clear()
     faults._key_tables.cache_clear()
     tracemalloc.start()
     try:
@@ -230,75 +229,3 @@ def test_n8_build_holds_no_large_temporary():
     finally:
         tracemalloc.stop()
     assert peak - table.entries.nbytes < 2**20
-
-
-@pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
-@pytest.mark.parametrize("bits", [1, 2, 3, 4, 5])
-def test_on_demand_table_matches_full_table_on_every_key(bits, mode):
-    full = build_cvm_lut(bits, mode)
-    keys = np.arange(6**bits, dtype=np.uint32)
-    assert np.array_equal(OnDemandLut(bits, mode).lookup(keys), full.lookup(keys))
-    # The same keys as (target code, sa1 << bits | sa0) pairs, through map_codes.
-    code, digits = np.divmod(keys, 3**bits)
-    sa0, sa1 = packed_from_fault_digits(digits, bits)
-    got = OnDemandLut(bits, mode).map_codes(code, sa1 << bits | sa0)
-    assert got.dtype == np.uint16
-    assert np.array_equal(got, full.map_codes(code, sa1 << bits | sa0))
-    # Reading every entry solves the keys no lookup has met.
-    partial = OnDemandLut(bits, mode)
-    partial.lookup(keys[::7])
-    assert np.array_equal(partial.entries, full.entries)
-
-
-@pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
-def test_on_demand_lookup_solves_each_distinct_key_once(monkeypatch, mode):
-    from safmap import lut as lut_mod
-
-    full = build_cvm_lut(4, mode)
-    solve = lut_mod.closest_codes
-    solved = []
-
-    def counting(keys, bits, mode):
-        solved.extend(np.asarray(keys).tolist())
-        return solve(keys, bits, mode)
-
-    monkeypatch.setattr(lut_mod, "closest_codes", counting)
-    lazy = OnDemandLut(4, mode)
-    rng = np.random.default_rng(3)
-    first = rng.integers(0, 6**4, size=40)
-    batches = [
-        np.repeat(first, 3)[rng.permutation(120)],  # every unsolved key thrice
-        # solved keys and new ones, each new key repeated
-        np.concatenate([first, np.tile(np.arange(500, 520), 4), first[:5]]),
-    ]
-    seen = set()
-    for keys in batches:
-        solved.clear()
-        got = lazy.lookup(keys)
-        assert sorted(solved) == sorted(set(keys.tolist()) - seen)
-        assert np.array_equal(got, full.lookup(keys))
-        seen.update(keys.tolist())
-
-
-@pytest.mark.parametrize("mode", [UNSIGNED, TWOS])
-def test_on_demand_table_fills_up_over_calls_n8(mode):
-    full = build_cvm_lut(8, mode)
-    lazy = OnDemandLut(8, mode)
-    rng = np.random.default_rng(9)
-    seen = rng.integers(0, 6**8, size=300)
-    batches = [
-        seen[:200],
-        np.concatenate([seen[::-1], seen[:50]]),  # solved keys, repeats, unsorted
-        rng.permutation(np.concatenate([seen[100:], rng.integers(0, 6**8, size=400)])),
-        rng.integers(0, 6**8, size=(30, 40)).astype(np.uint32),
-        np.empty(0, dtype=np.uint32),
-        seen,
-    ]
-    for keys in batches:
-        got = lazy.lookup(keys)
-        assert got.shape == keys.shape
-        assert np.array_equal(got, full.lookup(keys))
-    code, digits = np.divmod(batches[3], 3**8)
-    sa0, sa1 = packed_from_fault_digits(digits, 8)
-    pair = sa1 << 8 | sa0
-    assert np.array_equal(lazy.map_codes(code, pair), full.map_codes(code, pair))

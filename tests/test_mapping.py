@@ -353,7 +353,8 @@ def test_bitflip_search_peak_memory():
     rng = np.random.default_rng(0)
     layer = LayerWeights(rng.integers(0, 256, size=(512, 512)).astype(np.uint16), 8, TWOS)
     mask = sample_saf_mask(rng, (512, 512, 8), 0.05)
-    mapping._cvm_tables.cache_clear()
+    mapping._err_table.cache_clear()
+    mapping._penalty_table.cache_clear()
     faults._key_tables.cache_clear()
     tracemalloc.start()
     try:
@@ -404,28 +405,24 @@ def test_signed_codes_are_the_clamped_signed_targets(bits, mode):
     assert not (code.flags.writeable or cost.flags.writeable)
 
 
-def test_oracle_solves_each_key_once_per_call(monkeypatch):
-    # Without a table the per-word search reads one on-demand table for the
-    # call, so a key that several words share is enumerated only once.
+def test_oracle_enumerates_no_key_and_matches_subset_search(monkeypatch):
+    # Without a table the per-word search reads a full table built for the
+    # call, so the enumeration engine solves no key.
     from safmap import lut, mapping
 
     layer, mask = random_case(seed=8)
     table = build_cvm_lut(8, TWOS)
-    solved = []
-    enumerate_keys = mapping.closest_codes
 
-    def counting(keys, bits, mode):
-        solved.extend(np.asarray(keys).ravel().tolist())
-        return enumerate_keys(keys, bits, mode)
+    def refuse(*args, **kwargs):
+        raise AssertionError("mapping ran the enumeration engine")
 
-    monkeypatch.setattr(mapping, "closest_codes", counting)
-    monkeypatch.setattr(lut, "closest_codes", counting)
-    oracle = build_layout(SCHEME_BITFLIP, layer, mask, 16, lut=None)
-    assert solved
-    assert len(solved) == len(set(solved))
-    fast = build_layout(SCHEME_BITFLIP, layer, mask, 16, lut=table)
-    for name in ("stored", "col_flip", "b_flip"):
-        assert np.array_equal(getattr(oracle, name), getattr(fast, name)), name
+    monkeypatch.setattr(mapping, "closest_codes", refuse)
+    monkeypatch.setattr(lut, "closest_codes", refuse)
+    for scheme in (SCHEME_CVM, SCHEME_SIGNFLIP, SCHEME_BITFLIP):
+        oracle = build_layout(scheme, layer, mask, 16, lut=None)
+        fast = build_layout(scheme, layer, mask, 16, lut=table)
+        for name in ("stored", "col_flip", "b_flip"):
+            assert np.array_equal(getattr(oracle, name), getattr(fast, name)), name
 
 
 @pytest.mark.parametrize("scheme", [SCHEME_CVM, SCHEME_SIGNFLIP, SCHEME_BITFLIP])

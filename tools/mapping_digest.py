@@ -3,8 +3,8 @@
 Run it once per source tree and compare the printed lines; equal digests
 mean bit-identical ``stored``, ``col_flip``, ``b_flip``, effective values
 and mapping error for every scheme, with the table (subset-sum word search)
-and without one (the "direct" lines: per-word search, keys enumerated on
-demand), bit-identical crossbar simulator outputs, an identical Monte
+and without one (the "direct" lines: per-word search over a table built
+for the call), bit-identical crossbar simulator outputs, an identical Monte
 Carlo sweep report, and identical arrays read back from every JSON file
 format:
 
@@ -15,18 +15,18 @@ format:
 Cases: 240 random small layers (1-5 bits, both decoding modes, random
 shape, row length and fault rate) and one 512x512 8-bit layer at 5%
 faults.  The large case runs the per-word bit-flip search without a table
-(256 words looked up in a table solved on demand, each distinct key of its
-faulty weights enumerated once), so a run takes about 5-6 s on a 2-vCPU
-shared Xeon host (Python 3.11, numpy 2.4).  The simulator line
+(256 words, each looking up the keys of every faulty weight in a table
+built for the call), so a run takes about 5-6 s on a 2-vCPU shared Xeon
+host (Python 3.11, numpy 2.4).  The simulator line
 runs ``mvm_simulate_batch`` on every small layout with seeded activation
 batches in both decoding modes; the sweep line hashes one small
 ``run_sweep`` report of the seed-0 toy model, without the wall-clock
 ``map_seconds`` column (the sweep maps its 2 trials per rate stacked side
-by side, one ``build_layout`` call per scheme and layer, through a table
-solved on demand, so an equal line means batched mapping is exact); the
-table line hashes the entry bytes of
-``build_cvm_lut`` for widths 1-8, unsigned then two's complement per width,
-so equal digests mean byte-identical table files.  The JSON line hashes
+by side, one ``build_layout`` call per scheme and layer, through one
+table built for the sweep, so an equal line means batched mapping is
+exact); the table line hashes the entry bytes of ``build_cvm_lut`` for
+widths 1-8, unsigned then two's complement per width, so equal digests
+mean byte-identical table files.  The JSON line hashes
 the dtype, shape and bytes of every array after a ``to_json_dict`` -> text
 -> ``from_json_dict`` round trip of every small case's mask and layouts,
 seeded activation vectors of every width in both decoding modes, and the
